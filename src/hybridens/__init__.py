@@ -23,13 +23,7 @@ from .microcnn import MicroNet, adam_step, backward, build_micronet, forward, tr
 from .pipeline import RunReport, fuse_only, run_pipeline
 from .stacking import MetaLearner, OofTable, hybrid_predict, meta_predict, oof_predictions, train_meta
 from .synth import SynthSpec, synth_data
-from .weighting import (
-    WeightFit,
-    bce_loss,
-    optimize_weights,
-    project_simplex,
-    weighted_predict,
-)
+from .weighting import WeightFit, optimize_weights, project_simplex, weighted_predict
 
 __all__ = [
     "RunConfig",
@@ -73,7 +67,6 @@ __all__ = [
     "SynthSpec",
     "synth_data",
     "WeightFit",
-    "bce_loss",
     "optimize_weights",
     "project_simplex",
     "weighted_predict",

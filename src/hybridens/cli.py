@@ -10,13 +10,11 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import gradcam, metrics, microcnn, pipeline
+from . import microcnn, pipeline
 from .config import RunConfig
 from .data import load_predictions_csv
 from .errors import ConfigError, DataError, NumericError
-from .imageio import read_image, write_pgm, write_ppm
+from .imageio import bilinear_resize, read_image
 from .synth import SynthSpec, synth_data
 
 
@@ -50,24 +48,9 @@ def cmd_synth_data(args: argparse.Namespace) -> int:
 def cmd_train_base(args: argparse.Namespace) -> int:
     config = _load_config(args)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     samples = pipeline.load_image_dir(args.data, config.input_side)
     split = pipeline.split_dataset(samples, pipeline.SPLIT_RATIOS, config.seed)
-    val = [samples[i] for i in split.val_ids]
-    test = [samples[i] for i in split.test_ids]
-    _, val_preds, test_preds, _ = pipeline.train_bases(config, samples, split, out)
-    pipeline.save_predictions_csv(
-        out / "preds_val.csv",
-        val_preds,
-        np.array([s.label for s in val]),
-        [s.sample_id for s in val],
-    )
-    pipeline.save_predictions_csv(
-        out / "preds_test.csv",
-        test_preds,
-        np.array([s.label for s in test]),
-        [s.sample_id for s in test],
-    )
+    pipeline.train_bases(config, samples, split, out)
     print(f"trained {config.K} base models; checkpoints and predictions under {out}")
     return 0
 
@@ -87,33 +70,19 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        pipeline._write_json(out / "report.json", {"rows": rows})
-        (out / "report.txt").write_text(pipeline.render_table(rows))
-        for name, s in scores.items():
-            (out / f"roc_{name}.csv").write_text(
-                metrics.roc_points_csv(metrics.roc_curve(labels, s))
-            )
+        pipeline.write_report(out, {"rows": rows})
+        pipeline.write_rocs(out, labels, scores)
     print(pipeline.render_table(rows), end="")
     return 0
 
 
 def cmd_explain(args: argparse.Namespace) -> int:
     net = microcnn.load_checkpoint(args.checkpoint)
-    image = read_image(args.image)
-    cam = gradcam.explain(net, image, class_id=args.class_id)
+    image = bilinear_resize(read_image(args.image), net.input_side, net.input_side)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    stem = Path(args.image).stem
-    write_ppm(out / f"{stem}_overlay.ppm", gradcam.render_overlay(cam, image))
-    write_pgm(out / f"{stem}_cam.pgm", gradcam.normalize_cam(cam.map))
-    pipeline._write_json(
-        out / f"{stem}.json",
-        {
-            "class_id": cam.class_id,
-            "source_layer": cam.source_layer,
-            "model": net.architecture_id,
-            "image": str(args.image),
-        },
+    pipeline.write_explanation(
+        net, image, args.class_id, out, Path(args.image).stem, {"image": str(args.image)}
     )
     print(f"explanation written under {out}")
     return 0

@@ -46,9 +46,6 @@ class DatasetSplit:
     val_ids: list[int]
     test_ids: list[int]
 
-    def partitions(self) -> dict[str, list[int]]:
-        return {"train": self.train_ids, "val": self.val_ids, "test": self.test_ids}
-
 
 @dataclass
 class FoldAssignment:
@@ -56,9 +53,6 @@ class FoldAssignment:
 
     fold_of: dict[int, int]
     k: int
-
-    def members(self, fold: int) -> list[int]:
-        return [i for i, f in self.fold_of.items() if f == fold]
 
 
 def _subject_table(samples: list[LabeledSample]) -> dict[str, dict]:

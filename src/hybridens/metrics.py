@@ -75,6 +75,8 @@ def roc_curve(labels, scores) -> RocCurve:
     scores = np.asarray(scores, dtype=np.float64)
     if labels.shape != scores.shape:
         raise DataError("labels and scores have different lengths")
+    if not np.all(np.isfinite(scores)):
+        raise DataError("ROC scores must be finite; got NaN or infinity")
     n_pos = int(np.sum(labels == 1))
     n_neg = int(np.sum(labels == 0))
     if n_pos == 0 or n_neg == 0:

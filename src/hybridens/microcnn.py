@@ -17,7 +17,7 @@ import numpy as np
 from .config import RunConfig
 from .data import LabeledSample
 from .errors import DataError, NumericError
-from .weighting import mean_bce
+from .weighting import mean_bce, sigmoid
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -29,7 +29,7 @@ class Conv2d:
 
     kind = "conv2d"
 
-    def __init__(self, in_ch: int, out_ch: int, ksize: int, rng: np.random.Generator | None):
+    def __init__(self, in_ch: int, out_ch: int, ksize: int, rng: np.random.Generator | None = None):
         self.in_ch = in_ch
         self.out_ch = out_ch
         self.ksize = ksize
@@ -81,15 +81,6 @@ class Conv2d:
                 )
         return dx, grads
 
-    def spec(self):
-        return {
-            "kind": self.kind,
-            "in_ch": self.in_ch,
-            "out_ch": self.out_ch,
-            "ksize": self.ksize,
-            "trainable": self.trainable,
-        }
-
 
 class Relu:
     kind = "relu"
@@ -101,9 +92,6 @@ class Relu:
 
     def backward(self, ctx, dy, need_param_grads):
         return dy * ctx, None
-
-    def spec(self):
-        return {"kind": self.kind}
 
 
 class MaxPool2:
@@ -139,16 +127,13 @@ class MaxPool2:
         )
         return dx, None
 
-    def spec(self):
-        return {"kind": self.kind}
-
 
 class Dense:
     """Fully connected layer; flattens any input to (N, in_features)."""
 
     kind = "dense"
 
-    def __init__(self, in_features: int, out_features: int, rng: np.random.Generator | None):
+    def __init__(self, in_features: int, out_features: int, rng: np.random.Generator | None = None):
         self.in_features = in_features
         self.out_features = out_features
         self.trainable = True
@@ -173,14 +158,6 @@ class Dense:
             grads = {"w": flat.T @ dy, "b": dy.sum(axis=0)}
         dx = (dy @ self.params["w"].T).reshape(in_shape)
         return dx, grads
-
-    def spec(self):
-        return {
-            "kind": self.kind,
-            "in_features": self.in_features,
-            "out_features": self.out_features,
-            "trainable": self.trainable,
-        }
 
 
 class Dropout:
@@ -208,9 +185,6 @@ class Dropout:
             return dy, None
         return dy * ctx, None
 
-    def spec(self):
-        return {"kind": self.kind, "rate": self.rate}
-
 
 class SigmoidHead:
     """Squeezes (N, 1) logits to (N,) probabilities via a stable sigmoid."""
@@ -220,20 +194,12 @@ class SigmoidHead:
     params: dict = {}
 
     def forward(self, x, training, rng):
-        z = x.reshape(x.shape[0])
-        p = np.empty_like(z)
-        pos = z >= 0
-        p[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-        ez = np.exp(z[~pos])
-        p[~pos] = ez / (1.0 + ez)
+        p = sigmoid(x.reshape(x.shape[0]))
         return p, (x.shape, p)
 
     def backward(self, ctx, dy, need_param_grads):
         in_shape, p = ctx
         return (dy * p * (1.0 - p)).reshape(in_shape), None
-
-    def spec(self):
-        return {"kind": self.kind}
 
 
 @dataclass
@@ -273,7 +239,6 @@ class ForwardCache:
     ctxs: list
     conv_activation: np.ndarray
     net_version: int
-    training: bool
 
 
 @dataclass
@@ -305,7 +270,6 @@ def forward(
         ctxs=ctxs,
         conv_activation=conv_activation,
         net_version=net.version,
-        training=training,
     )
 
 
@@ -426,14 +390,8 @@ def _run_epochs(
         history.append(record)
 
 
-def set_phase1_trainability(net: MicroNet) -> None:
-    """Freeze the backbone; train only the head."""
-    for i in net.parameterized():
-        net.layers[i].trainable = i >= net.head_start
-
-
-def set_phase2_trainability(net: MicroNet, unfreeze_top: int) -> None:
-    """Additionally unfreeze the last `unfreeze_top` parameterized backbone layers."""
+def set_trainability(net: MicroNet, unfreeze_top: int) -> None:
+    """Train the head and the top `unfreeze_top` backbone layers; 0 is phase 1."""
     backbone = [i for i in net.parameterized() if i < net.head_start]
     to_unfreeze = set(backbone[len(backbone) - unfreeze_top :]) if unfreeze_top > 0 else set()
     for i in net.parameterized():
@@ -456,12 +414,12 @@ def train_two_phase(
     if not train:
         raise DataError("training set is empty")
     history: list[dict] = []
-    set_phase1_trainability(net)
+    set_trainability(net, 0)
     _run_epochs(
         net, train, val, config.freeze_epochs, config.head_learning_rate,
         config.batch_size, rng, "freeze", history,
     )
-    set_phase2_trainability(net, config.unfreeze_top)
+    set_trainability(net, config.unfreeze_top)
     _run_epochs(
         net, train, val, config.finetune_epochs, config.learning_rate,
         config.batch_size, rng, "finetune", history,
@@ -529,62 +487,86 @@ def build_micronet(
     )
 
 
-def save_checkpoint(net: MicroNet, path: str | Path) -> None:
-    """One-line JSON header plus a flat little-endian float64 parameter block."""
-    header = {
+# Checkpoint layer table: kind -> (class, constructor fields in header order).
+# Layers with parameters also record their trainability after those fields.
+_LAYER_KINDS = {
+    "conv2d": (Conv2d, ("in_ch", "out_ch", "ksize")),
+    "relu": (Relu, ()),
+    "maxpool2": (MaxPool2, ()),
+    "dense": (Dense, ("in_features", "out_features")),
+    "dropout": (Dropout, ("rate",)),
+    "sigmoid_head": (SigmoidHead, ()),
+}
+
+
+def _layer_spec(layer) -> dict:
+    spec = {"kind": layer.kind}
+    spec.update((name, getattr(layer, name)) for name in _LAYER_KINDS[layer.kind][1])
+    if layer.params:
+        spec["trainable"] = layer.trainable
+    return spec
+
+
+def _layer_from_spec(spec: dict):
+    if spec["kind"] not in _LAYER_KINDS:
+        raise DataError(f"unknown layer kind in checkpoint: {spec['kind']}")
+    cls, fields = _LAYER_KINDS[spec["kind"]]
+    layer = cls(*(spec[name] for name in fields))
+    if layer.params:
+        layer.trainable = spec["trainable"]
+    return layer
+
+
+def _header(net: MicroNet) -> dict:
+    return {
         "architecture_id": net.architecture_id,
         "input_side": net.input_side,
         "head_start": net.head_start,
-        "layers": [layer.spec() for layer in net.layers],
+        "layers": [_layer_spec(layer) for layer in net.layers],
     }
+
+
+def save_checkpoint(net: MicroNet, path: str | Path) -> None:
+    """One-line JSON header plus a flat little-endian float64 parameter block."""
     blocks = []
     for i in net.parameterized():
         for name in sorted(net.layers[i].params):
             blocks.append(net.layers[i].params[name].astype("<f8").tobytes())
     with open(path, "wb") as fh:
-        fh.write(json.dumps(header).encode("utf-8"))
+        fh.write(json.dumps(_header(net)).encode("utf-8"))
         fh.write(b"\n")
         fh.write(b"".join(blocks))
 
 
 def load_checkpoint(path: str | Path) -> MicroNet:
-    raw = Path(path).read_bytes()
-    nl = raw.index(b"\n")
-    header = json.loads(raw[:nl].decode("utf-8"))
-    layers: list = []
-    for spec in header["layers"]:
-        kind = spec["kind"]
-        if kind == "conv2d":
-            layer = Conv2d(spec["in_ch"], spec["out_ch"], spec["ksize"], None)
-            layer.trainable = spec["trainable"]
-        elif kind == "relu":
-            layer = Relu()
-        elif kind == "maxpool2":
-            layer = MaxPool2()
-        elif kind == "dense":
-            layer = Dense(spec["in_features"], spec["out_features"], None)
-            layer.trainable = spec["trainable"]
-        elif kind == "dropout":
-            layer = Dropout(spec["rate"])
-        elif kind == "sigmoid_head":
-            layer = SigmoidHead()
-        else:
-            raise DataError(f"unknown layer kind in checkpoint: {kind}")
-        layers.append(layer)
-    net = MicroNet(
-        architecture_id=header["architecture_id"],
-        layers=layers,
-        head_start=header["head_start"],
-        input_side=header["input_side"],
-    )
-    offset = nl + 1
-    for i in net.parameterized():
-        for name in sorted(net.layers[i].params):
-            shape = net.layers[i].params[name].shape
-            count = int(np.prod(shape))
-            block = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
-            net.layers[i].params[name] = block.reshape(shape).copy()
-            offset += count * 8
-    if offset != len(raw):
-        raise DataError(f"checkpoint has {len(raw) - offset} trailing bytes: {path}")
+    """Inverse of save_checkpoint; any malformed file raises DataError."""
+    line, newline, block = Path(path).read_bytes().partition(b"\n")
+    if not newline:
+        raise DataError(f"checkpoint has no header line: {path}")
+    try:
+        header = json.loads(line.decode("utf-8"))
+        net = MicroNet(
+            architecture_id=header["architecture_id"],
+            layers=[_layer_from_spec(spec) for spec in header["layers"]],
+            head_start=header["head_start"],
+            input_side=header["input_side"],
+        )
+        side, head = net.input_side, net.head_start
+        typed = [isinstance(net.architecture_id, str), type(side) is int and side > 0,
+                 type(head) is int and 0 <= head < len(net.layers)]
+        typed += [isinstance(layer.trainable, bool) for layer in net.layers]
+        if header != _header(net) or not all(typed):
+            raise DataError("unknown keys or values of the wrong type in the header")
+    except (ValueError, KeyError, TypeError, MemoryError, RecursionError) as exc:
+        # DataError is a ValueError: the rules broken above land here too.
+        raise DataError(f"malformed checkpoint {path}: {exc!r}") from exc
+    params = [(layer.params, name) for layer in net.layers for name in sorted(layer.params)]
+    expected = 8 * sum(p[name].size for p, name in params)
+    if len(block) != expected:
+        raise DataError(f"checkpoint parameter block is {len(block)} bytes, not {expected}: {path}")
+    values = np.frombuffer(block, dtype="<f8")
+    offset = 0
+    for p, name in params:
+        p[name] = values[offset : offset + p[name].size].reshape(p[name].shape).copy()
+        offset += p[name].size
     return net

@@ -8,10 +8,11 @@ are derived from the run seed per stage and architecture.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +33,6 @@ from .imageio import write_pgm, write_ppm
 from .seeding import rng_for
 
 SPLIT_RATIOS = (0.6, 0.2, 0.2)
-FUSED_MODELS = ("weighted", "stacked", "hybrid")
 
 
 @dataclass
@@ -45,18 +45,6 @@ class RunReport:
     alpha: list[float]
     meta: dict
     files: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "task": self.task,
-            "config": self.config,
-            "counts": self.counts,
-            "rows": self.rows,
-            "alpha": self.alpha,
-            "meta": self.meta,
-            "files": self.files,
-        }
 
 
 @contextmanager
@@ -131,8 +119,20 @@ def _write_json(path: Path, doc: dict) -> None:
     path.write_text(json.dumps(doc, indent=2) + "\n")
 
 
-def _write_roc(path: Path, labels: np.ndarray, scores: np.ndarray) -> None:
-    path.write_text(metrics.roc_points_csv(metrics.roc_curve(labels, scores)))
+def write_report(out_dir: Path, doc: dict) -> None:
+    """`report.json` holds the whole document, `report.txt` its rows as a table."""
+    _write_json(out_dir / "report.json", doc)
+    (out_dir / "report.txt").write_text(render_table(doc["rows"]))
+
+
+def write_rocs(out_dir: Path, labels: np.ndarray, model_scores: dict) -> dict[str, str]:
+    """One `roc_<model>.csv` per model; returns model -> file name."""
+    files = {}
+    for name, scores in model_scores.items():
+        files[name] = f"roc_{name}.csv"
+        curve = metrics.roc_curve(labels, scores)
+        (out_dir / files[name]).write_text(metrics.roc_points_csv(curve))
+    return files
 
 
 def train_bases(
@@ -141,7 +141,8 @@ def train_bases(
     split: DatasetSplit,
     out_dir: Path,
 ) -> tuple[dict[str, microcnn.MicroNet], np.ndarray, np.ndarray, list[list[dict]]]:
-    """Two-phase-train the K base nets; return them with val/test predictions."""
+    """Two-phase-train the K base nets; return them with val/test predictions.
+    Writes the checkpoints, their histories, `preds_val.csv` and `preds_test.csv`."""
     train = [samples[i] for i in split.train_ids]
     val = [samples[i] for i in split.val_ids]
     test = [samples[i] for i in split.test_ids]
@@ -165,37 +166,43 @@ def train_bases(
         val_preds[:, k] = microcnn.predict_proba(net, val, config.batch_size)
         test_preds[:, k] = microcnn.predict_proba(net, test, config.batch_size)
         histories.append(history)
+    for name, part, preds in (("val", val, val_preds), ("test", test, test_preds)):
+        labels = np.array([s.label for s in part], dtype=np.int64)
+        save_predictions_csv(
+            out_dir / f"preds_{name}.csv", preds, labels, [s.sample_id for s in part]
+        )
     return nets, val_preds, test_preds, histories
 
 
-def _oof_factories(config: RunConfig, val: list[LabeledSample]) -> list:
-    """Per-architecture factories for out-of-fold training, seeded per (arch, fold)."""
+class _CnnLearner:
+    """Picklable out-of-fold learner for one (architecture, fold). Nothing reads
+    an OOF net's loss history, so it trains without a validation set."""
 
-    class _CnnLearner:
-        def __init__(self, arch: str, fold: int):
-            self.arch = arch
-            self.fold = fold
-            self.net = None
+    def __init__(self, config: RunConfig, arch: str, fold: int):
+        self.config = config
+        self.arch = arch
+        self.fold = fold
+        self.net = None
 
-        def fit(self, fit_samples: list[LabeledSample]) -> None:
-            net = microcnn.build_micronet(
-                self.arch,
-                config.input_side,
-                config.dropout_rate,
-                rng_for(config.seed, "oof-init", self.arch, self.fold),
-            )
-            self.net, _ = microcnn.train_two_phase(
-                net, fit_samples, val, config,
-                rng_for(config.seed, "oof-train", self.arch, self.fold),
-            )
+    def fit(self, fit_samples: list[LabeledSample]) -> None:
+        net = microcnn.build_micronet(
+            self.arch,
+            self.config.input_side,
+            self.config.dropout_rate,
+            rng_for(self.config.seed, "oof-init", self.arch, self.fold),
+        )
+        self.net, _ = microcnn.train_two_phase(
+            net, fit_samples, [], self.config,
+            rng_for(self.config.seed, "oof-train", self.arch, self.fold),
+        )
 
-        def predict(self, query: list[LabeledSample]) -> np.ndarray:
-            return microcnn.predict_proba(self.net, query, config.batch_size)
+    def predict(self, query: list[LabeledSample]) -> np.ndarray:
+        return microcnn.predict_proba(self.net, query, self.config.batch_size)
 
-    def make(arch: str):
-        return lambda fold: _CnnLearner(arch, fold)
 
-    return [make(arch) for arch in microcnn.architecture_ids(config.K)]
+def _oof_factories(config: RunConfig) -> list:
+    """One learner factory per architecture; each takes the fold id."""
+    return [functools.partial(_CnnLearner, config, a) for a in microcnn.architecture_ids(config.K)]
 
 
 def _save_oof(path: Path, oof: stacking.OofTable, samples: list[LabeledSample]) -> None:
@@ -209,14 +216,15 @@ def _save_oof(path: Path, oof: stacking.OofTable, samples: list[LabeledSample]) 
     path.write_text("\n".join(lines) + "\n")
 
 
-def _fused_scores(
-    preds: np.ndarray, alpha: np.ndarray, meta: stacking.MetaLearner, rule: str = "mean"
+def _model_scores(
+    preds: np.ndarray, names: list[str], alpha: np.ndarray, meta: stacking.MetaLearner, rule: str
 ) -> dict[str, np.ndarray]:
-    return {
-        "weighted": preds @ alpha,
-        "stacked": np.asarray(stacking.meta_predict(meta, preds)),
-        "hybrid": np.asarray(stacking.hybrid_predict(alpha, meta, preds, rule)),
-    }
+    """Each base column under its name, then the three fused predictions."""
+    scores = {name: preds[:, k] for k, name in enumerate(names)}
+    scores["weighted"] = preds @ alpha
+    scores["stacked"] = np.asarray(stacking.meta_predict(meta, preds))
+    scores["hybrid"] = np.asarray(stacking.hybrid_predict(alpha, meta, preds, rule))
+    return scores
 
 
 def _pick_explained(
@@ -233,6 +241,26 @@ def _pick_explained(
     return chosen
 
 
+def write_explanation(
+    net: microcnn.MicroNet, image: np.ndarray, class_id: int, out_dir: Path, stem: str, source: dict
+) -> list[str]:
+    """Grad-CAM overlay, heatmap and a JSON note (which ends with `source`)
+    for one image; returns the file names written under `out_dir`."""
+    cam = gradcam.explain(net, image, class_id=class_id)
+    write_ppm(out_dir / f"{stem}_overlay.ppm", gradcam.render_overlay(cam, image))
+    write_pgm(out_dir / f"{stem}_cam.pgm", gradcam.normalize_cam(cam.map))
+    _write_json(
+        out_dir / f"{stem}.json",
+        {
+            "class_id": cam.class_id,
+            "source_layer": cam.source_layer,
+            "model": net.architecture_id,
+            **source,
+        },
+    )
+    return [f"{stem}_overlay.ppm", f"{stem}_cam.pgm", f"{stem}.json"]
+
+
 def write_explanations(
     net: microcnn.MicroNet,
     chosen: dict[int, LabeledSample],
@@ -242,24 +270,11 @@ def write_explanations(
     ex_dir.mkdir(parents=True, exist_ok=True)
     written = []
     for label, sample in sorted(chosen.items()):
-        cam = gradcam.explain(net, sample.payload, class_id=label)
         stem = f"class{label}_{sample.sample_id.replace('/', '-')}"
-        write_ppm(ex_dir / f"{stem}_overlay.ppm", gradcam.render_overlay(cam, sample.payload))
-        write_pgm(ex_dir / f"{stem}_cam.pgm", gradcam.normalize_cam(cam.map))
-        _write_json(
-            ex_dir / f"{stem}.json",
-            {
-                "class_id": cam.class_id,
-                "source_layer": cam.source_layer,
-                "model": net.architecture_id,
-                "sample": sample.sample_id,
-            },
+        names = write_explanation(
+            net, sample.payload, label, ex_dir, stem, {"sample": sample.sample_id}
         )
-        written += [
-            f"explanations/{stem}_overlay.ppm",
-            f"explanations/{stem}_cam.pgm",
-            f"explanations/{stem}.json",
-        ]
+        written += [f"explanations/{name}" for name in names]
     return written
 
 
@@ -278,7 +293,6 @@ def run_pipeline(
         samples = load_image_dir(data_dir, config.input_side)
     with _stage("split"):
         split = split_dataset(samples, SPLIT_RATIOS, config.seed)
-    train = [samples[i] for i in split.train_ids]
     val = [samples[i] for i in split.val_ids]
     test = [samples[i] for i in split.test_ids]
     val_labels = np.array([s.label for s in val], dtype=np.int64)
@@ -287,12 +301,6 @@ def run_pipeline(
     with _stage("train-base"):
         nets, val_preds, test_preds, _ = train_bases(config, samples, split, out)
         arch_ids = list(nets)
-        save_predictions_csv(
-            out / "preds_val.csv", val_preds, val_labels, [s.sample_id for s in val]
-        )
-        save_predictions_csv(
-            out / "preds_test.csv", test_preds, test_labels, [s.sample_id for s in test]
-        )
 
     with _stage("weights"):
         fit = weighting.optimize_weights(
@@ -303,7 +311,7 @@ def run_pipeline(
     with _stage("oof"):
         folds = assign_folds(samples, split.train_ids, config.folds, config.seed)
         oof = stacking.oof_predictions(
-            samples, split.train_ids, folds, _oof_factories(config, val)
+            samples, split.train_ids, folds, _oof_factories(config)
         )
         _save_oof(out / "oof.csv", oof, samples)
 
@@ -314,8 +322,8 @@ def run_pipeline(
         _write_json(out / "meta.json", meta.to_dict())
 
     with _stage("evaluate"):
-        model_scores = {arch: test_preds[:, k] for k, arch in enumerate(arch_ids)}
-        model_scores.update(_fused_scores(test_preds, fit.alpha, meta, config.fusion_combine_rule))
+        rule = config.fusion_combine_rule
+        model_scores = _model_scores(test_preds, arch_ids, fit.alpha, meta, rule)
         rows = score_rows(
             model_scores,
             test_labels,
@@ -323,17 +331,11 @@ def run_pipeline(
             subjects=[s.subject_id for s in test],
             eval_level=config.eval_level,
         )
-        roc_files = {}
         if roc_from_folds:
-            oof_scores = {arch: oof.matrix[:, k] for k, arch in enumerate(arch_ids)}
-            oof_scores.update(_fused_scores(oof.matrix, fit.alpha, meta, config.fusion_combine_rule))
-            for name, scores in oof_scores.items():
-                _write_roc(out / f"roc_{name}.csv", oof.labels, scores)
-                roc_files[name] = f"roc_{name}.csv"
+            oof_scores = _model_scores(oof.matrix, arch_ids, fit.alpha, meta, rule)
+            roc_files = write_rocs(out, oof.labels, oof_scores)
         else:
-            for name, scores in model_scores.items():
-                _write_roc(out / f"roc_{name}.csv", test_labels, scores)
-                roc_files[name] = f"roc_{name}.csv"
+            roc_files = write_rocs(out, test_labels, model_scores)
 
     with _stage("explain"):
         if explain_model is None:
@@ -353,7 +355,7 @@ def run_pipeline(
             seed=config.seed,
             task=config.task_name,
             config=config.to_dict(),
-            counts={"train": len(train), "val": len(val), "test": len(test)},
+            counts={"train": len(split.train_ids), "val": len(val), "test": len(test)},
             rows=rows,
             alpha=[float(a) for a in fit.alpha],
             meta=meta.to_dict(),
@@ -369,8 +371,7 @@ def run_pipeline(
                 "explained_model": explain_model,
             },
         )
-        _write_json(out / "report.json", report.to_dict())
-        (out / "report.txt").write_text(render_table(rows))
+        write_report(out, asdict(report))
     return report
 
 
@@ -411,8 +412,8 @@ def fuse_only(
         matrix[fit_rows], labels[fit_rows], config.meta_epochs, config.meta_lr, config.meta_l2
     )
     eval_matrix, eval_labels = matrix[eval_rows], labels[eval_rows]
-    model_scores = {f"p{k + 1}": eval_matrix[:, k] for k in range(matrix.shape[1])}
-    model_scores.update(_fused_scores(eval_matrix, fit.alpha, meta, config.fusion_combine_rule))
+    names = [f"p{k + 1}" for k in range(matrix.shape[1])]
+    model_scores = _model_scores(eval_matrix, names, fit.alpha, meta, config.fusion_combine_rule)
     rows = score_rows(model_scores, eval_labels, config.threshold)
     report = RunReport(
         seed=config.seed,
@@ -429,10 +430,10 @@ def fuse_only(
         out.mkdir(parents=True, exist_ok=True)
         _write_json(out / "weights.json", fit.to_dict())
         _write_json(out / "meta.json", meta.to_dict())
-        report.files = {"weights": "weights.json", "meta": "meta.json", "roc": {}}
-        for name, scores in model_scores.items():
-            _write_roc(out / f"roc_{name}.csv", eval_labels, scores)
-            report.files["roc"][name] = f"roc_{name}.csv"
-        _write_json(out / "report.json", report.to_dict())
-        (out / "report.txt").write_text(render_table(rows))
+        report.files = {
+            "weights": "weights.json",
+            "meta": "meta.json",
+            "roc": write_rocs(out, eval_labels, model_scores),
+        }
+        write_report(out, asdict(report))
     return report

@@ -15,9 +15,7 @@ import numpy as np
 
 from .data import FoldAssignment, LabeledSample
 from .errors import NumericError
-from .weighting import mean_bce, weighted_predict
-
-MAX_HALVINGS = 30
+from .weighting import MAX_HALVINGS, mean_bce, sigmoid, weighted_predict
 
 
 class BaseLearner(Protocol):
@@ -66,10 +64,6 @@ class MetaLearner:
     def to_dict(self) -> dict:
         return {"w": [float(x) for x in self.w], "b": float(self.b)}
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "MetaLearner":
-        return cls(w=np.asarray(doc["w"], dtype=np.float64), b=float(doc["b"]))
-
 
 def oof_predictions(
     samples: list[LabeledSample],
@@ -117,34 +111,25 @@ def oof_predictions(
     )
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=np.float64)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
 def meta_predict(m: MetaLearner, p: np.ndarray) -> float | np.ndarray:
     """sigmoid(w . p + b) for one feature row or an (N, K) matrix."""
     p = np.asarray(p, dtype=np.float64)
     if p.shape[-1] != m.w.shape[0]:
         raise ValueError(f"dimension mismatch: w has {m.w.shape[0]}, p has {p.shape[-1]}")
     z = p @ m.w + m.b
-    out = _sigmoid(np.atleast_1d(z))
+    out = sigmoid(np.atleast_1d(z))
     return float(out[0]) if np.ndim(z) == 0 else out
 
 
 def _meta_loss(w: np.ndarray, b: float, feats: np.ndarray, y: np.ndarray, l2: float) -> float:
-    return mean_bce(_sigmoid(feats @ w + b), y) + 0.5 * l2 * float(w @ w)
+    return mean_bce(sigmoid(feats @ w + b), y) + 0.5 * l2 * float(w @ w)
 
 
 def meta_gradient(
     w: np.ndarray, b: float, feats: np.ndarray, y: np.ndarray, l2: float
 ) -> tuple[np.ndarray, float]:
     """Analytic gradient of mean BCE + (l2/2)||w||^2 in (w, b)."""
-    r = _sigmoid(feats @ w + b) - y
+    r = sigmoid(feats @ w + b) - y
     n = len(y)
     return feats.T @ r / n + l2 * w, float(np.sum(r) / n)
 

@@ -30,10 +30,15 @@ def weighted_predict(alpha: np.ndarray, p: np.ndarray) -> float | np.ndarray:
     return float(out) if out.ndim == 0 else out
 
 
-def bce_loss(p_hat: float, y: int) -> float:
-    """Binary cross-entropy with the probability clamped to [eps, 1-eps]."""
-    q = min(max(float(p_hat), BCE_EPS), 1.0 - BCE_EPS)
-    return -(y * np.log(q) + (1 - y) * np.log(1.0 - q))
+def sigmoid(z: np.ndarray) -> np.ndarray:
+    """Logistic function of a float64 array, without overflow for any sign of z."""
+    z = np.asarray(z, dtype=np.float64)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
 
 
 def mean_bce(p_hat: np.ndarray, labels: np.ndarray) -> float:

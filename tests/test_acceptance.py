@@ -263,8 +263,7 @@ def test_c6_oof_leakage_audit(small_run):
     from hybridens.pipeline import _oof_factories
 
     folds = assign_folds(samples, split.train_ids, config.folds, config.seed)
-    val = [samples[i] for i in split.val_ids]
-    table = oof_predictions(samples, split.train_ids, folds, _oof_factories(config, val))
+    table = oof_predictions(samples, split.train_ids, folds, _oof_factories(config))
     assert table.audit_leakage() == 0
     assert not np.isnan(table.matrix).any()
 

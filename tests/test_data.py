@@ -98,14 +98,14 @@ def test_split_rejects_bad_ratios_and_tiny_datasets():
 def test_assign_folds_even_division():
     samples = make_samples(10)
     folds = assign_folds(samples, list(range(10)), k=5, seed=0)
-    sizes = sorted(len(folds.members(f)) for f in range(5))
+    sizes = sorted(list(folds.fold_of.values()).count(f) for f in range(5))
     assert sizes == [2, 2, 2, 2, 2]
 
 
 def test_assign_folds_uneven_division():
     samples = make_samples(10)
     folds = assign_folds(samples, list(range(10)), k=3, seed=1)
-    sizes = sorted(len(folds.members(f)) for f in range(3))
+    sizes = sorted(list(folds.fold_of.values()).count(f) for f in range(3))
     assert sizes == [3, 3, 4]
 
 

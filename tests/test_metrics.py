@@ -142,6 +142,12 @@ def test_roc_rejects_single_class():
         roc_curve([1, 1, 1], [0.1, 0.2, 0.3])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_roc_rejects_non_finite_scores(bad):
+    with pytest.raises(DataError, match="finite"):
+        roc_curve([0, 1, 1], [0.2, bad, 0.7])
+
+
 def test_roc_csv_round_trips_points():
     curve = roc_curve([1, 0, 1, 0], [0.9, 0.1, 0.8, 0.4])
     text = roc_points_csv(curve)

@@ -1,7 +1,10 @@
 import hashlib
+import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hybridens import microcnn
 from hybridens.config import RunConfig
@@ -372,6 +375,94 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
     second = tmp_path / "net2.ckpt"
     save_checkpoint(loaded, second)
     assert path.read_bytes() == second.read_bytes()
+
+
+def test_checkpoint_header_line_is_pinned(tmp_path):
+    # Checkpoints written by earlier versions must keep loading, so the
+    # header's keys, their order and its spacing may not drift.
+    net = build_micronet("convC", 24, 0.25, np.random.default_rng(0))
+    net.layers[-2].trainable = False
+    save_checkpoint(net, tmp_path / "net.ckpt")
+    line = (tmp_path / "net.ckpt").read_bytes().split(b"\n", 1)[0]
+    assert line == (
+        b'{"architecture_id": "convC", "input_side": 24, "head_start": 5, "layers": ['
+        b'{"kind": "conv2d", "in_ch": 1, "out_ch": 8, "ksize": 5, "trainable": true}, '
+        b'{"kind": "relu"}, {"kind": "maxpool2"}, {"kind": "maxpool2"}, {"kind": "maxpool2"}, '
+        b'{"kind": "dense", "in_features": 32, "out_features": 16, "trainable": true}, '
+        b'{"kind": "relu"}, {"kind": "dropout", "rate": 0.25}, '
+        b'{"kind": "dense", "in_features": 16, "out_features": 1, "trainable": false}, '
+        b'{"kind": "sigmoid_head"}]}'
+    )
+
+
+@pytest.fixture(scope="module")
+def clean_checkpoint(tmp_path_factory):
+    path = tmp_path_factory.mktemp("ckpt") / "convC.ckpt"
+    save_checkpoint(build_micronet("convC", 12, 0.25, np.random.default_rng(41)), path)
+    return path.read_bytes()
+
+
+def _with_header(raw, change):
+    line, _, block = raw.partition(b"\n")
+    header = json.loads(line)
+    change(header)
+    return json.dumps(header).encode() + b"\n" + block
+
+
+def _set(keys, value):
+    def change(doc):
+        for key in keys[:-1]:
+            doc = doc[key]
+        doc[keys[-1]] = value
+    return change
+
+
+MALFORMED_CHECKPOINTS = {
+    "no newline": lambda raw: raw[: raw.index(b"\n")],
+    "header not utf-8": lambda raw: b"\xff" + raw,
+    "header not json": lambda raw: b"{" + raw,
+    "header not an object": lambda raw: b"[]\n" + raw.partition(b"\n")[2],
+    "missing key": lambda raw: _with_header(raw, lambda h: h.pop("head_start")),
+    "unknown key": lambda raw: _with_header(raw, _set(["stride"], 2)),
+    "layers not a list": lambda raw: _with_header(raw, _set(["layers"], 3)),
+    "unknown layer kind": lambda raw: _with_header(raw, _set(["layers", 1, "kind"], "tanh")),
+    "missing layer field": lambda raw: _with_header(raw, lambda h: h["layers"][0].pop("ksize")),
+    "unknown layer field": lambda raw: _with_header(raw, _set(["layers", 0, "stride"], 2)),
+    "negative channels": lambda raw: _with_header(raw, _set(["layers", 0, "out_ch"], -8)),
+    "fractional kernel": lambda raw: _with_header(raw, _set(["layers", 0, "ksize"], 2.5)),
+    "dropout rate above 1": lambda raw: _with_header(raw, _set(["layers", 7, "rate"], 2.0)),
+    "trainable not a bool": lambda raw: _with_header(raw, _set(["layers", 0, "trainable"], "no")),
+    "input side a string": lambda raw: _with_header(raw, _set(["input_side"], "12")),
+    "head start out of range": lambda raw: _with_header(raw, _set(["head_start"], 99)),
+    "no sigmoid head": lambda raw: _with_header(raw, lambda h: h["layers"].pop()),
+    "short parameter block": lambda raw: raw[:-8],
+    "trailing bytes": lambda raw: raw + b"\0",
+}
+
+
+@pytest.mark.parametrize("damage", list(MALFORMED_CHECKPOINTS))
+def test_malformed_checkpoint_raises_data_error(clean_checkpoint, tmp_path, damage):
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(MALFORMED_CHECKPOINTS[damage](clean_checkpoint))
+    with pytest.raises(DataError, match="checkpoint"):
+        load_checkpoint(path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cut=st.integers(0, 2**16), pos=st.integers(0, 2**16), flip=st.integers(0, 255))
+def test_damaged_checkpoint_loads_or_raises_data_error(
+    clean_checkpoint, tmp_path_factory, cut, pos, flip
+):
+    raw = bytearray(clean_checkpoint[: cut % (len(clean_checkpoint) + 1)])
+    if raw:
+        raw[pos % len(raw)] ^= flip
+    path = tmp_path_factory.mktemp("fuzz") / "damaged.ckpt"
+    path.write_bytes(bytes(raw))
+    try:
+        net = load_checkpoint(path)
+    except DataError:
+        return
+    assert isinstance(net, MicroNet)
 
 
 def test_registered_architectures_build_and_stay_small():

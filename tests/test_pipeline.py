@@ -1,4 +1,5 @@
 import json
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,9 @@ import pytest
 from hybridens import cli
 from hybridens.config import RunConfig
 from hybridens.data import load_predictions_csv, save_predictions_csv
-from hybridens.pipeline import FUSED_MODELS, fuse_only, render_table, run_pipeline
+from hybridens.imageio import bilinear_resize, read_image, write_pgm
+from hybridens.microcnn import load_checkpoint
+from hybridens.pipeline import _oof_factories, fuse_only, render_table, run_pipeline
 from hybridens.stacking import train_meta
 from hybridens.synth import SynthSpec, synth_data
 from hybridens.weighting import optimize_weights
@@ -207,6 +210,42 @@ def test_cli_synth_run_evaluate_and_explain(tmp_path):
         "--image", str(image), "--out", str(tmp_path / "xai"), "--class-id", "1",
     ]) == 0
     assert list((tmp_path / "xai").glob("*_overlay.ppm"))
+
+
+def test_oof_learner_factories_pickle():
+    factories = _oof_factories(RunConfig(seed=3, **TINY))
+    learner = pickle.loads(pickle.dumps(factories[1]))(2)
+    assert (learner.arch, learner.fold, learner.config.seed) == ("convB", 2, 3)
+
+
+def test_cli_train_base_writes_what_run_writes(tiny_run, tmp_path):
+    data, run_out, _ = tiny_run
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(dict(seed=21, **TINY)))
+    out = tmp_path / "bases"
+    assert cli.main(["train-base", "--config", str(config), "--data", str(data),
+                     "--out", str(out)]) == 0
+    names = ["preds_val.csv", "preds_test.csv"]
+    names += [f"checkpoints/{arch}.ckpt" for arch in ("convA", "convB", "convC")]
+    for name in names:
+        assert (out / name).read_bytes() == (run_out / name).read_bytes(), name
+
+
+def test_cli_explain_resizes_to_the_net_input(tiny_run, tmp_path):
+    data, run_out, _ = tiny_run
+    checkpoint = run_out / "checkpoints" / "convA.ckpt"
+    side = load_checkpoint(checkpoint).input_side
+    image = read_image(next((data / "pos").glob("*.pgm")))
+    large = tmp_path / "large_00.pgm"
+    write_pgm(large, bilinear_resize(image, 2 * side, 2 * side))
+    assert cli.main(["explain", "--checkpoint", str(checkpoint), "--image", str(large),
+                     "--out", str(tmp_path / "xai")]) == 0
+    assert read_image(tmp_path / "xai" / "large_00_cam.pgm").shape == (side, side)
+
+    truncated = tmp_path / "truncated.ckpt"
+    truncated.write_bytes(checkpoint.read_bytes()[:-100])
+    assert cli.main(["explain", "--checkpoint", str(truncated), "--image", str(large),
+                     "--out", str(tmp_path / "xai")]) == 3
 
 
 def test_cli_exit_codes(tmp_path):
