@@ -37,7 +37,7 @@ def cmd_synth_data(args: argparse.Namespace) -> int:
         slices_per_subject=args.slices_per_subject,
         image_side=args.image_side,
         noise_sigma=args.noise_sigma,
-        seed=args.seed if args.seed is not None else 0,
+        seed=args.seed,
     )
     root = synth_data(spec, args.out)
     files = sum(1 for d in ("pos", "neg") for _ in (root / d).iterdir())
@@ -117,7 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--image-side", type=int, default=32)
     p.add_argument("--noise-sigma", type=float, default=0.04)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--config", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_synth_data)
 
     p = sub.add_parser("train-base", help="train the base models and save predictions")
@@ -140,7 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("explain", help="Grad-CAM overlay for one image")
-    _add_common(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--image", required=True)
     p.add_argument("--out", required=True)

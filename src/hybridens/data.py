@@ -176,7 +176,7 @@ def load_image_dir(path: str | Path, input_side: int | None = None) -> list[Labe
             if "_" not in stem:
                 raise DataError(f"filename must look like <subject>_<slice>: {file}")
             subject, _, slice_part = stem.rpartition("_")
-            if not slice_part.isdigit():
+            if not slice_part.isdecimal():  # exactly the digits int() reads
                 raise DataError(f"slice index is not an integer in: {file}")
             image = read_image(file)
             if input_side is not None:
@@ -202,10 +202,12 @@ def load_predictions_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray, list
     """
     path = Path(path)
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
     except OSError as exc:
         raise DataError(f"cannot read predictions CSV: {path}") from exc
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"{path}: not a UTF-8 CSV: {exc}") from exc
     if not rows:
         raise DataError(f"empty predictions CSV: {path}")
     header = [h.strip() for h in rows[0]]
@@ -231,9 +233,10 @@ def load_predictions_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray, list
         for v in values:
             if not 0.0 <= v <= 1.0:
                 raise DataError(f"{path}:{lineno}: probability {v} outside [0, 1]")
-        if row[-1].strip() not in ("0", "1"):
+        label = row[-1].strip()
+        if label not in ("0", "1"):
             raise DataError(f"{path}:{lineno}: label must be 0 or 1, got {row[-1]!r}")
-        labels.append(int(row[-1]))
+        labels.append(int(label))
         probs.append(values)
     if not probs:
         raise DataError(f"no data rows in predictions CSV: {path}")
@@ -251,7 +254,7 @@ def save_predictions_csv(
     n, k = matrix.shape
     if len(labels) != n or len(ids) != n:
         raise ValueError("matrix, labels, and ids must have matching lengths")
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id"] + [f"p{i}" for i in range(1, k + 1)] + ["label"])
         for i in range(n):

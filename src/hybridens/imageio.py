@@ -96,6 +96,8 @@ def _decode_png(raw: bytes, path: Path) -> np.ndarray:
         body = raw[pos + 8 : pos + 8 + length]
         pos += 12 + length  # length + type + body + crc
         if ctype == b"IHDR":
+            if len(body) != 13:
+                raise DataError(f"PNG IHDR chunk is {len(body)} bytes, not 13: {path}")
             width, height, bitdepth, color, _comp, _filt, interlace = struct.unpack(
                 ">IIBBBBB", body
             )

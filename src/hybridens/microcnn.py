@@ -241,12 +241,6 @@ class ForwardCache:
     net_version: int
 
 
-@dataclass
-class GradientSet:
-    params: dict
-    conv_activation_grad: np.ndarray
-
-
 def forward(
     net: MicroNet,
     batch: np.ndarray,
@@ -280,33 +274,35 @@ def _check_cache(net: MicroNet, cache: ForwardCache) -> None:
         )
 
 
-def backward(net: MicroNet, cache: ForwardCache, labels: np.ndarray) -> GradientSet:
-    """Backprop mean BCE; parameter gradients only where trainable.
-
-    Also exposes the loss gradient at the final conv activation stack, the
-    quantity the class-activation machinery consumes.
-    """
+def _backprop(
+    net: MicroNet, cache: ForwardCache, dy: np.ndarray, stop: int
+) -> tuple[np.ndarray, dict]:
+    """Run the layer backward rules from just below the sigmoid head down to
+    layer `stop`; return the gradient at `stop`'s input and the parameter
+    gradients of the trainable layers passed on the way."""
     _check_cache(net, cache)
+    param_grads = {}
+    for i in range(len(net.layers) - 2, stop - 1, -1):
+        layer = net.layers[i]
+        dy, grads = layer.backward(cache.ctxs[i], dy, bool(layer.params) and layer.trainable)
+        for name, g in (grads or {}).items():
+            param_grads[(i, name)] = g
+    return dy, param_grads
+
+
+def backward(net: MicroNet, cache: ForwardCache, labels: np.ndarray) -> dict:
+    """Backprop mean BCE into {(layer, name): gradient} for every trainable
+    parameter. The pass stops at the lowest trainable layer: the layers
+    below it are frozen, so no gradient of theirs would be used.
+    """
     y = np.asarray(labels, dtype=np.float64)
     n = y.shape[0]
     if cache.probs.shape[0] != n:
         raise ValueError(f"cache holds {cache.probs.shape[0]} rows, labels {n}")
     # Fused sigmoid+BCE derivative at the logit, averaged over the batch.
-    head_shape = cache.ctxs[-1][0]
-    dy = ((cache.probs - y) / n).reshape(head_shape)
-    param_grads = {}
-    conv_idx = net.final_conv_index
-    conv_grad = None
-    for i in range(len(net.layers) - 2, -1, -1):
-        layer = net.layers[i]
-        if i == conv_idx:
-            conv_grad = dy
-        need = bool(layer.params) and layer.trainable
-        dy, grads = layer.backward(cache.ctxs[i], dy, need)
-        if grads is not None:
-            for name, g in grads.items():
-                param_grads[(i, name)] = g
-    return GradientSet(params=param_grads, conv_activation_grad=conv_grad)
+    dy = ((cache.probs - y) / n).reshape(cache.ctxs[-1][0])
+    stop = min((i for i, _ in net.trainable_params()), default=len(net.layers) - 1)
+    return _backprop(net, cache, dy, stop)[1]
 
 
 def class_score_gradient(net: MicroNet, cache: ForwardCache, class_id: int) -> np.ndarray:
@@ -314,25 +310,19 @@ def class_score_gradient(net: MicroNet, cache: ForwardCache, class_id: int) -> n
 
     The positive class scores the raw logit; the negative class its negation.
     """
-    _check_cache(net, cache)
     if class_id not in (0, 1):
         raise ValueError(f"class_id must be 0 or 1, got {class_id}")
-    head_shape = cache.ctxs[-1][0]
-    seed = 1.0 if class_id == 1 else -1.0
-    dy = np.full(head_shape, seed)
-    conv_idx = net.final_conv_index
-    for i in range(len(net.layers) - 2, conv_idx, -1):
-        dy, _ = net.layers[i].backward(cache.ctxs[i], dy, False)
-    return dy
+    dy = np.full(cache.ctxs[-1][0], 1.0 if class_id == 1 else -1.0)
+    return _backprop(net, cache, dy, net.final_conv_index + 1)[0]
 
 
-def adam_step(net: MicroNet, grads: GradientSet, lr: float) -> MicroNet:
+def adam_step(net: MicroNet, grads: dict, lr: float) -> MicroNet:
     """Standard Adam on every trainable parameter; frozen ones are untouched."""
     for key in net.trainable_params():
         i, name = key
-        if key not in grads.params:
+        if key not in grads:
             raise ValueError(f"missing gradient for trainable parameter layer{i}.{name}")
-        g = grads.params[key]
+        g = grads[key]
         if not np.all(np.isfinite(g)):
             raise NumericError(f"non-finite gradient at layer{i}.{net.layers[i].kind}.{name}")
         slot = net.adam.setdefault(key, {"m": np.zeros_like(g), "v": np.zeros_like(g), "t": 0})

@@ -14,7 +14,7 @@ from typing import Callable, Protocol, Sequence
 import numpy as np
 
 from .data import FoldAssignment, LabeledSample
-from .errors import NumericError
+from .errors import ConfigError, DataError, NumericError
 from .weighting import MAX_HALVINGS, mean_bce, sigmoid, weighted_predict
 
 
@@ -75,7 +75,9 @@ def oof_predictions(
 
     Each factory is called with the fold id and must return a fresh learner
     whose behaviour is fully determined by that id (seeding is the caller's
-    business).  Factory failures propagate with the fold id attached.
+    business).  Factory failures propagate with the learner and fold ids
+    attached; taxonomy errors keep their type, anything else is a
+    RuntimeError.
     """
     if not factories:
         raise ValueError("need at least one base-learner factory")
@@ -94,6 +96,8 @@ def oof_predictions(
                 learner = factory(fold)
                 learner.fit(fit_samples)
                 preds = np.asarray(learner.predict(holdout_samples), dtype=np.float64)
+            except (ConfigError, DataError, NumericError) as exc:
+                raise type(exc)(f"base learner {k} failed on fold {fold}: {exc}") from exc
             except Exception as exc:
                 raise RuntimeError(f"base learner {k} failed on fold {fold}: {exc}") from exc
             for i, p in zip(holdout, preds):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hybridens.data import (
@@ -169,6 +169,10 @@ def test_load_image_dir_rejections(tmp_path):
     bad.write_bytes(b"not an image")
     with pytest.raises(DataError, match="s1_00.pgm"):
         load_image_dir(tmp_path)
+    bad.unlink()
+    write_pgm(tmp_path / "pos" / "s1_\u00b2.pgm", np.zeros((4, 4)))  # isdigit(), but not int()
+    with pytest.raises(DataError, match="slice index is not an integer"):
+        load_image_dir(tmp_path)
 
 
 def test_load_image_dir_ignores_root_files(tmp_path):
@@ -217,3 +221,27 @@ def test_predictions_csv_round_trip(tmp_path):
     assert np.array_equal(back, matrix)
     assert np.array_equal(back_labels, labels)
     assert ids == [f"r{i}" for i in range(6)]
+
+
+CLEAN_CSV = (
+    b"id,p1,p2,label\r\na,0.1,0.9,1\r\nb,0.4,0.6,0\r\nc,0.5,0.5,1\r\n"
+    b"d,1.0,0.0,0\r\ne,0.0,1.0,1\r\n"
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cut=st.integers(0, 2**16), pos=st.integers(0, 2**16), flip=st.integers(0, 255))
+@example(cut=len(CLEAN_CSV), pos=16, flip=0xFF)  # a byte that is not UTF-8
+@example(cut=len(CLEAN_CSV), pos=27, flip=0x13)  # label "1\x1e": int() rejects what strip() drops
+def test_damaged_predictions_csv_parses_or_raises_data_error(tmp_path_factory, cut, pos, flip):
+    raw = bytearray(CLEAN_CSV[: cut % (len(CLEAN_CSV) + 1)])
+    if raw:
+        raw[pos % len(raw)] ^= flip
+    path = tmp_path_factory.mktemp("fuzz") / "damaged.csv"
+    path.write_bytes(bytes(raw))
+    try:
+        matrix, labels, ids = load_predictions_csv(path)
+    except DataError:
+        return
+    assert matrix.shape[0] == len(labels) == len(ids)
+    assert np.all((matrix >= 0.0) & (matrix <= 1.0)) and set(labels.tolist()) <= {0, 1}

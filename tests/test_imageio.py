@@ -3,7 +3,7 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hybridens.errors import DataError
@@ -151,3 +151,27 @@ def test_bilinear_stays_within_input_range(h, w, oh, ow, seed):
     assert out.shape == (oh, ow)
     assert out.min() >= img.min() - 1e-12
     assert out.max() <= img.max() + 1e-12
+
+
+CLEAN_IMAGES = {
+    "pgm": b"P5\n7 6\n255\n" + bytes(range(0, 252, 6)),
+    "png": make_png(np.arange(42).reshape(6, 7) * 6),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(CLEAN_IMAGES))
+@settings(max_examples=300, deadline=None)
+@given(cut=st.integers(0, 2**16), pos=st.integers(0, 2**16), flip=st.integers(0, 255))
+@example(cut=20, pos=0, flip=0)  # a PNG cut inside its IHDR body
+def test_damaged_image_reads_or_raises_data_error(tmp_path_factory, fmt, cut, pos, flip):
+    clean = CLEAN_IMAGES[fmt]
+    raw = bytearray(clean[: cut % (len(clean) + 1)])
+    if raw:
+        raw[pos % len(raw)] ^= flip
+    path = tmp_path_factory.mktemp("fuzz") / f"damaged.{fmt}"
+    path.write_bytes(bytes(raw))
+    try:
+        image = read_image(path)
+    except DataError:
+        return
+    assert image.ndim == 2 and np.all((image >= 0.0) & (image <= 1.0))

@@ -26,6 +26,7 @@ from hybridens.microcnn import (
     load_checkpoint,
     predict_proba,
     save_checkpoint,
+    set_trainability,
     train_two_phase,
 )
 from hybridens.weighting import mean_bce
@@ -147,10 +148,22 @@ def test_dense_bce_gradient_closed_form():
     assert np.allclose(grads["w"][:, 0], expected, atol=1e-14)
 
 
-@pytest.mark.parametrize("kind", ["conv2d", "dense"])
-def test_parameter_gradients_match_finite_differences(kind):
+@pytest.mark.parametrize(
+    "kind, unfreeze_top",
+    [
+        pytest.param("conv2d", None, id="conv2d"),
+        pytest.param("dense", None, id="dense"),
+        pytest.param("dense", 0, id="dense-phase1"),
+        pytest.param("conv2d", 1, id="conv2d-unfreeze1"),
+        pytest.param("dense", 1, id="dense-unfreeze1"),
+    ],
+)
+def test_parameter_gradients_match_finite_differences(kind, unfreeze_top):
+    # None leaves every layer trainable; otherwise set_trainability picks them.
     rng = np.random.default_rng(7)
     net = tiny_net(rng)
+    if unfreeze_top is not None:
+        set_trainability(net, unfreeze_top)
     x = rng.random((3, 1, 10, 10))
     y = rng.integers(0, 2, 3)
 
@@ -160,9 +173,12 @@ def test_parameter_gradients_match_finite_differences(kind):
 
     _, cache = forward(net, x, training=False)
     grads = backward(net, cache, y)
-    for (i, name), analytic in grads.params.items():
+    assert sorted(grads) == net.trainable_params()
+    checked = 0
+    for (i, name), analytic in grads.items():
         if net.layers[i].kind != kind:
             continue
+        checked += 1
         P = net.layers[i].params[name]
 
         def f(theta, P=P):
@@ -174,6 +190,24 @@ def test_parameter_gradients_match_finite_differences(kind):
 
         numeric = fd_gradient(f, P)
         assert rel_error(analytic, numeric) <= 1e-4
+    assert checked > 0
+
+
+def test_backward_stops_at_the_lowest_trainable_layer():
+    rng = np.random.default_rng(7)
+    net = tiny_net(rng)
+    set_trainability(net, 1)  # conv layer 3 and the head train; conv layer 0 is frozen
+    ran = []
+    for i, layer in enumerate(net.layers):
+        def recording(ctx, dy, need, i=i, rule=layer.backward):
+            ran.append(i)
+            return rule(ctx, dy, need)
+
+        layer.backward = recording
+    _, cache = forward(net, rng.random((2, 1, 10, 10)))
+    grads = backward(net, cache, np.array([1, 0]))
+    assert ran == list(range(len(net.layers) - 2, 2, -1))
+    assert sorted(grads) == net.trainable_params()
 
 
 @pytest.mark.parametrize("kind", ["relu", "maxpool2", "sigmoid_head"])
@@ -238,7 +272,7 @@ def test_adam_first_step_magnitude():
     grads = {k: np.zeros_like(net.layers[k[0]].params[k[1]]) for k in net.trainable_params()}
     grads[key] = np.array([g])
     before = net.layers[8].params["b"].copy()
-    adam_step(net, microcnn.GradientSet(params=grads, conv_activation_grad=None), lr=1e-3)
+    adam_step(net, grads, lr=1e-3)
     delta = net.layers[8].params["b"][0] - before[0]
     assert delta == pytest.approx(-1e-3 * g / (abs(g) + 1e-8), rel=1e-12)
 
@@ -259,8 +293,8 @@ def test_adam_rejects_non_finite_gradient_with_path():
     x = rng.random((2, 1, 10, 10))
     _, cache = forward(net, x)
     grads = backward(net, cache, np.array([1, 0]))
-    key = next(iter(grads.params))
-    grads.params[key][...] = np.nan
+    key = next(iter(grads))
+    grads[key][...] = np.nan
     with pytest.raises(NumericError, match=f"layer{key[0]}"):
         adam_step(net, grads, 1e-3)
 

@@ -5,9 +5,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hybridens import cli
+from hybridens import cli, pipeline
 from hybridens.config import RunConfig
 from hybridens.data import load_predictions_csv, save_predictions_csv
+from hybridens.errors import NumericError
 from hybridens.imageio import bilinear_resize, read_image, write_pgm
 from hybridens.microcnn import load_checkpoint
 from hybridens.pipeline import _oof_factories, fuse_only, render_table, run_pipeline
@@ -260,3 +261,26 @@ def test_cli_exit_codes(tmp_path):
     bad_csv = tmp_path / "bad.csv"
     bad_csv.write_text("id,p1,p2,label\na,2.0,0.1,1\n")
     assert cli.main(["evaluate", "--preds", str(bad_csv)]) == 3
+    # Flags nothing reads are not registered, so argparse rejects them.
+    for argv in (
+        ["explain", "--checkpoint", "f.ckpt", "--image", "x.pgm", "--out", "o", "--config", "c"],
+        ["explain", "--checkpoint", "f.ckpt", "--image", "x.pgm", "--out", "o", "--seed", "3"],
+        ["synth-data", "--out", "o", "--config", "c"],
+    ):
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv)
+        assert info.value.code == 2, argv
+
+
+def test_cli_run_exits_4_when_an_oof_learner_fails(tmp_path, monkeypatch, capsys):
+    def diverge(self, fit_samples):
+        raise NumericError(f"loss diverged for {self.arch}")
+
+    monkeypatch.setattr(pipeline._CnnLearner, "fit", diverge)
+    data = tmp_path / "d"
+    synth_data(SynthSpec(subjects_per_class=6, slices_per_subject=2, image_side=16, seed=1), data)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(dict(seed=1, **TINY)))
+    assert cli.main(["run", "--config", str(config), "--data", str(data),
+                     "--out", str(tmp_path / "o")]) == 4
+    assert "stage oof: base learner 0 failed on fold 0: loss diverged" in capsys.readouterr().err

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hybridens.data import FoldAssignment, LabeledSample
+from hybridens.errors import ConfigError, DataError, NumericError
 from hybridens.stacking import (
     MetaLearner,
     hybrid_predict,
@@ -77,6 +78,21 @@ def test_oof_factory_failure_names_fold():
     folds = FoldAssignment(fold_of={0: 0, 1: 0, 2: 1, 3: 1}, k=2)
     with pytest.raises(RuntimeError, match="fold 0"):
         oof_predictions(samples, [0, 1, 2, 3], folds, [Exploding])
+
+
+@pytest.mark.parametrize("error", [ConfigError, DataError, NumericError])
+def test_oof_learner_taxonomy_error_keeps_its_type(error):
+    class Failing(MeanLabelLearner):
+        def fit(self, samples):
+            if self.fold == 1:
+                raise error("no good")
+            super().fit(samples)
+
+    samples = make_samples([1, 0, 1, 0])
+    folds = FoldAssignment(fold_of={0: 0, 1: 0, 2: 1, 3: 1}, k=2)
+    with pytest.raises(error, match="base learner 1 failed on fold 1: no good") as info:
+        oof_predictions(samples, [0, 1, 2, 3], folds, [MeanLabelLearner, Failing])
+    assert type(info.value) is error
 
 
 def test_meta_predict_zero_parameters_is_half():
