@@ -76,6 +76,8 @@ def _decode_pgm(raw: bytes, path: Path) -> np.ndarray:
         fields.append(int(token))
     pos += 1  # single whitespace byte before the raster
     width, height, maxval = fields
+    if width == 0 or height == 0:
+        raise DataError(f"PGM image is {width}x{height}, not at least 1x1: {path}")
     if maxval <= 0 or maxval > 65535:
         raise DataError(f"unsupported PGM maxval {maxval}: {path}")
     dtype = np.uint8 if maxval < 256 else ">u2"
@@ -101,6 +103,8 @@ def _decode_png(raw: bytes, path: Path) -> np.ndarray:
             width, height, bitdepth, color, _comp, _filt, interlace = struct.unpack(
                 ">IIBBBBB", body
             )
+            if width == 0 or height == 0:
+                raise DataError(f"PNG image is {width}x{height}, not at least 1x1: {path}")
             if color != 0:
                 raise DataError(f"PNG color type {color} not supported (grayscale only): {path}")
             if bitdepth not in (8, 16):

@@ -236,9 +236,10 @@ class MicroNet:
 @dataclass
 class ForwardCache:
     probs: np.ndarray
-    ctxs: list
-    conv_activation: np.ndarray
+    ctxs: list  # None below `start`
+    conv_activation: np.ndarray | None  # None when the final conv is below `start`
     net_version: int
+    start: int = 0
 
 
 def forward(
@@ -246,16 +247,22 @@ def forward(
     batch: np.ndarray,
     training: bool = False,
     rng: np.random.Generator | None = None,
+    start: int = 0,
 ) -> tuple[np.ndarray, ForwardCache]:
-    """Run the stack; dropout fires only when training=True."""
+    """Run layers `start`.. of the stack; dropout fires only when training=True.
+
+    With start=0, `batch` is an (N, C, H, W) image batch; otherwise it is the
+    output of layer `start - 1`, and the cache holds no context below `start`,
+    so backprop cannot reach below it.
+    """
     x = np.asarray(batch, dtype=np.float64)
-    if x.ndim != 4:
+    if start == 0 and x.ndim != 4:
         raise DataError(f"expected (N, C, H, W) batch, got shape {x.shape}")
-    ctxs = []
+    ctxs = [None] * start
     conv_activation = None
     conv_idx = net.final_conv_index
-    for i, layer in enumerate(net.layers):
-        x, ctx = layer.forward(x, training, rng)
+    for i in range(start, len(net.layers)):
+        x, ctx = net.layers[i].forward(x, training, rng)
         ctxs.append(ctx)
         if i == conv_idx:
             conv_activation = x
@@ -264,6 +271,7 @@ def forward(
         ctxs=ctxs,
         conv_activation=conv_activation,
         net_version=net.version,
+        start=start,
     )
 
 
@@ -274,6 +282,10 @@ def _check_cache(net: MicroNet, cache: ForwardCache) -> None:
         )
 
 
+def _lowest_trainable(net: MicroNet) -> int:
+    return min((i for i, _ in net.trainable_params()), default=len(net.layers) - 1)
+
+
 def _backprop(
     net: MicroNet, cache: ForwardCache, dy: np.ndarray, stop: int
 ) -> tuple[np.ndarray, dict]:
@@ -281,6 +293,8 @@ def _backprop(
     layer `stop`; return the gradient at `stop`'s input and the parameter
     gradients of the trainable layers passed on the way."""
     _check_cache(net, cache)
+    if stop < cache.start:
+        raise ValueError(f"forward cache starts at layer {cache.start}, cannot backprop to {stop}")
     param_grads = {}
     for i in range(len(net.layers) - 2, stop - 1, -1):
         layer = net.layers[i]
@@ -301,8 +315,7 @@ def backward(net: MicroNet, cache: ForwardCache, labels: np.ndarray) -> dict:
         raise ValueError(f"cache holds {cache.probs.shape[0]} rows, labels {n}")
     # Fused sigmoid+BCE derivative at the logit, averaged over the batch.
     dy = ((cache.probs - y) / n).reshape(cache.ctxs[-1][0])
-    stop = min((i for i, _ in net.trainable_params()), default=len(net.layers) - 1)
-    return _backprop(net, cache, dy, stop)[1]
+    return _backprop(net, cache, dy, _lowest_trainable(net))[1]
 
 
 def class_score_gradient(net: MicroNet, cache: ForwardCache, class_id: int) -> np.ndarray:
@@ -362,14 +375,25 @@ def _run_epochs(
     history: list[dict],
 ) -> None:
     labels = np.array([s.label for s in train], dtype=np.int64)
+    # Layers below `stop` are frozen and draw no random numbers, so they give
+    # each image the same output in every epoch: run them once, here.
+    dropouts = [i for i, layer in enumerate(net.layers) if layer.kind == "dropout"]
+    stop = min([_lowest_trainable(net), *dropouts])
+    feats = None
+    for start in range(0, len(train), batch_size):
+        x = batch_tensor(train[start : start + batch_size])
+        for layer in net.layers[:stop]:
+            x, _ = layer.forward(x, False, None)
+        if feats is None:
+            feats = np.empty((len(train), *x.shape[1:]))
+        feats[start : start + len(x)] = x
     for epoch in range(epochs):
         order = rng.permutation(len(train))
         losses = []
         for start in range(0, len(train), batch_size):
             take = order[start : start + batch_size]
-            batch = batch_tensor([train[i] for i in take])
             y = labels[take]
-            probs, cache = forward(net, batch, training=True, rng=rng)
+            probs, cache = forward(net, feats[take], training=True, rng=rng, start=stop)
             losses.append(mean_bce(probs, y))
             grads = backward(net, cache, y)
             adam_step(net, grads, lr)
@@ -399,7 +423,9 @@ def train_two_phase(
     the backbone at the (small) main rate.
 
     Frozen backbone parameters are bit-identical across phase 1; phase 2
-    touches only the configured unfrozen suffix plus the head.
+    touches only the configured unfrozen suffix plus the head.  Each phase
+    runs its frozen, dropout-free prefix of layers over the training set
+    once, and every batch of every epoch starts from that stored output.
     """
     if not train:
         raise DataError("training set is empty")

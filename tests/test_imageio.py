@@ -77,6 +77,23 @@ def test_pgm_truncated_raster_rejected(tmp_path):
         read_image(path)
 
 
+ZERO_SIZE_IMAGES = {
+    "pgm-0x0": b"P5\n0 0\n255\n",
+    "pgm-0x5": b"P5\n0 5\n255\n",
+    "pgm-5x0": b"P5\n5 0\n255\n" + bytes(5),
+    "png-0x5": make_png(np.zeros((5, 0))),
+    "png-5x0": make_png(np.zeros((0, 5))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ZERO_SIZE_IMAGES))
+def test_zero_size_image_rejected(tmp_path, name):
+    path = tmp_path / f"{name}.{name[:3]}"
+    path.write_bytes(ZERO_SIZE_IMAGES[name])
+    with pytest.raises(DataError, match="not at least 1x1"):
+        read_image(path)
+
+
 def test_unreadable_file_named_in_error(tmp_path):
     with pytest.raises(DataError, match="missing.pgm"):
         read_image(tmp_path / "missing.pgm")
@@ -163,6 +180,7 @@ CLEAN_IMAGES = {
 @settings(max_examples=300, deadline=None)
 @given(cut=st.integers(0, 2**16), pos=st.integers(0, 2**16), flip=st.integers(0, 255))
 @example(cut=20, pos=0, flip=0)  # a PNG cut inside its IHDR body
+@example(cut=53, pos=3, flip=0x07)  # the PGM with its width flipped from 7 to 0
 def test_damaged_image_reads_or_raises_data_error(tmp_path_factory, fmt, cut, pos, flip):
     clean = CLEAN_IMAGES[fmt]
     raw = bytearray(clean[: cut % (len(clean) + 1)])
@@ -174,4 +192,5 @@ def test_damaged_image_reads_or_raises_data_error(tmp_path_factory, fmt, cut, po
         image = read_image(path)
     except DataError:
         return
-    assert image.ndim == 2 and np.all((image >= 0.0) & (image <= 1.0))
+    assert image.ndim == 2 and min(image.shape) >= 1
+    assert np.all((image >= 0.0) & (image <= 1.0))

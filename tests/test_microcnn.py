@@ -210,6 +210,27 @@ def test_backward_stops_at_the_lowest_trainable_layer():
     assert sorted(grads) == net.trainable_params()
 
 
+def test_forward_from_a_later_layer_matches_the_full_pass():
+    rng = np.random.default_rng(7)
+    net = tiny_net(rng)
+    x = rng.random((3, 1, 10, 10))
+    y = np.array([1, 0, 1])
+    feats = x
+    for layer in net.layers[: net.head_start]:
+        feats, _ = layer.forward(feats, False, None)
+    full_p, full_cache = forward(net, x)
+    part_p, part_cache = forward(net, feats, start=net.head_start)
+    assert part_p.tobytes() == full_p.tobytes()
+    assert part_cache.ctxs[: net.head_start] == [None] * net.head_start
+    set_trainability(net, 0)  # the head is the lowest trainable layer
+    full, part = backward(net, full_cache, y), backward(net, part_cache, y)
+    assert sorted(part) == sorted(full)
+    assert all(part[k].tobytes() == full[k].tobytes() for k in full)
+    set_trainability(net, 1)  # conv layer 3 trains, but the cache starts at the head
+    with pytest.raises(ValueError, match="starts at layer 5"):
+        backward(net, part_cache, y)
+
+
 @pytest.mark.parametrize("kind", ["relu", "maxpool2", "sigmoid_head"])
 def test_parameterless_layer_input_gradients(kind):
     rng = np.random.default_rng(8)
@@ -373,6 +394,69 @@ def test_training_is_bit_deterministic():
         return param_digest(net)
 
     assert run() == run()
+
+
+def reference_two_phase(net, train, config, rng):
+    """The training loop with no stored prefix: every batch runs the whole
+    stack from its images, with the same rng draws as train_two_phase."""
+    labels = np.array([s.label for s in train], dtype=np.int64)
+    losses = []
+    for unfreeze_top, epochs, lr in (
+        (0, config.freeze_epochs, config.head_learning_rate),
+        (config.unfreeze_top, config.finetune_epochs, config.learning_rate),
+    ):
+        set_trainability(net, unfreeze_top)
+        for _ in range(epochs):
+            order = rng.permutation(len(train))
+            epoch_losses = []
+            for start in range(0, len(train), config.batch_size):
+                take = order[start : start + config.batch_size]
+                batch = batch_tensor([train[i] for i in take])
+                probs, cache = forward(net, batch, training=True, rng=rng)
+                epoch_losses.append(mean_bce(probs, labels[take]))
+                adam_step(net, backward(net, cache, labels[take]), lr)
+            losses.append(float(np.mean(epoch_losses)))
+    return net, losses
+
+
+@pytest.mark.parametrize("arch", microcnn.BASE_ARCHITECTURES)
+@pytest.mark.parametrize(
+    "unfreeze_top, freeze_epochs",
+    [(0, 2), (1, 2), (2, 2), (1, 0)],
+    ids=["unfreeze0", "unfreeze1", "unfreeze2", "unfreeze1-nofreeze"],
+)
+def test_training_matches_a_full_forward_loop_bit_for_bit(arch, unfreeze_top, freeze_epochs):
+    samples = make_blob_samples(np.random.default_rng(40), 11, side=16)
+    config = make_config(input_side=16, batch_size=4, dropout_rate=0.25,
+                         freeze_epochs=freeze_epochs, finetune_epochs=2,
+                         unfreeze_top=unfreeze_top)
+
+    def fresh():
+        return build_micronet(arch, 16, 0.25, np.random.default_rng(41))
+
+    net, history = train_two_phase(fresh(), samples, [], config, np.random.default_rng(42))
+    ref, ref_losses = reference_two_phase(fresh(), samples, config, np.random.default_rng(42))
+    assert [h["train_loss"] for h in history] == ref_losses
+    assert param_digest(net) == param_digest(ref)
+    assert net.version == ref.version == (freeze_epochs + 2) * 3
+
+
+def test_frozen_prefix_runs_once_per_training_phase():
+    net = tiny_net(np.random.default_rng(43), side=12)
+    set_trainability(net, 0)  # phase 1: layers 0-4 are frozen and dropout-free
+    calls = {0: 0, net.head_start: 0}
+    for i in calls:
+        def counting(x, training, rng, i=i, rule=net.layers[i].forward):
+            calls[i] += 1
+            return rule(x, training, rng)
+
+        net.layers[i].forward = counting
+    samples = make_blob_samples(np.random.default_rng(44), 10)
+    epochs, batch_size = 3, 4
+    microcnn._run_epochs(net, samples, [], epochs, 1e-2, batch_size,
+                         np.random.default_rng(45), "freeze", [])
+    batches = -(-len(samples) // batch_size)
+    assert calls == {0: batches, net.head_start: epochs * batches}
 
 
 def test_history_records_losses():

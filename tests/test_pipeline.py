@@ -258,6 +258,11 @@ def test_cli_exit_codes(tmp_path):
                      "--out", str(tmp_path / "o")]) == 2
     assert cli.main(["run", "--data", str(tmp_path / "nowhere"),
                      "--out", str(tmp_path / "o")]) == 3
+    empty = tmp_path / "empty"
+    for label in ("pos", "neg"):
+        (empty / label).mkdir(parents=True)
+        (empty / label / "s1_00.pgm").write_bytes(b"P5\n0 0\n255\n")
+    assert cli.main(["run", "--data", str(empty), "--out", str(tmp_path / "o")]) == 3
     bad_csv = tmp_path / "bad.csv"
     bad_csv.write_text("id,p1,p2,label\na,2.0,0.1,1\n")
     assert cli.main(["evaluate", "--preds", str(bad_csv)]) == 3
