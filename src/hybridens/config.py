@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -11,6 +12,23 @@ from .errors import ConfigError
 
 COMBINE_RULES = ("mean", "weighted_only", "stacked_only")
 EVAL_LEVELS = ("slice", "subject_mean")
+
+
+_TYPE_NAMES = {"int": "an integer", "float": "a finite number", "str": "a string"}
+
+
+def _has_type(value, kind: str) -> bool:
+    """Exact field types: bools are not numbers, and an integer may stand for a float."""
+    if isinstance(value, bool):
+        return False
+    if kind == "int":
+        return isinstance(value, int)
+    if kind == "float":
+        try:
+            return isinstance(value, (int, float)) and math.isfinite(value)
+        except OverflowError:  # an int too large for a float
+            return False
+    return isinstance(value, str)
 
 
 @dataclass
@@ -49,6 +67,10 @@ class RunConfig:
         self.validate()
 
     def validate(self) -> None:
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if not _has_type(value, f.type):
+                raise ConfigError(f"{f.name} must be {_TYPE_NAMES[f.type]}, got {value!r:.40}")
         if self.K < 2:
             raise ConfigError(f"K must be >= 2, got {self.K}")
         if self.learning_rate <= 0 or self.head_learning_rate <= 0:

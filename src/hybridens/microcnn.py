@@ -1,7 +1,9 @@
 """Minimal convolutional networks with explicit forward and backward passes.
 
 Everything runs in float64 so finite-difference oracles stay tight.  Layers
-are freestanding objects with their own backward rules; a MicroNet is an
+are freestanding objects with their own backward rules,
+`backward(ctx, dy, need_param_grads, need_input_grad=True) -> (dx, grads)`,
+where a layer may return None for what it was not asked for; a MicroNet is an
 ordered stack ending in a sigmoid head, with per-layer trainability flags
 realizing the freeze/fine-tune phases and per-parameter Adam state.
 """
@@ -13,6 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import RunConfig
 from .data import LabeledSample
@@ -41,44 +44,41 @@ class Conv2d:
             w = rng.standard_normal((out_ch, in_ch, ksize, ksize)) * scale
         self.params = {"w": w, "b": np.zeros(out_ch)}
 
+    def _bands(self, x):
+        """Yield (di, band): im2col of kernel row di as one (N, C*K, OH*OW) copy."""
+        k = self.ksize
+        win = sliding_window_view(x, (k, k), axis=(2, 3))  # (N, C, OH, OW, K, K)
+        for di in range(k):
+            yield di, win[..., di, :].transpose(0, 1, 4, 2, 3).reshape(len(x), self.in_ch * k, -1)
+
     def forward(self, x, training, rng):
         if x.ndim != 4 or x.shape[1] != self.in_ch:
             raise DataError(f"conv2d expects (N,{self.in_ch},H,W), got {x.shape}")
         n, _, h, w = x.shape
-        kh = self.ksize
-        oh, ow = h - kh + 1, w - kh + 1
+        oh, ow = h - self.ksize + 1, w - self.ksize + 1
         if oh < 1 or ow < 1:
-            raise DataError(f"conv2d kernel {kh} larger than input {h}x{w}")
-        wt = self.params["w"]
-        y = np.zeros((n, self.out_ch, oh, ow))
-        for di in range(kh):
-            for dj in range(kh):
-                y += np.einsum(
-                    "nchw,oc->nohw", x[:, :, di : di + oh, dj : dj + ow], wt[:, :, di, dj]
-                )
-        y += self.params["b"][None, :, None, None]
-        return y, x
+            raise DataError(f"conv2d kernel {self.ksize} larger than input {h}x{w}")
+        # One (O, C*K) @ (C*K, OH*OW) GEMM per kernel row and image, onto the bias.
+        y = np.broadcast_to(self.params["b"][:, None], (n, self.out_ch, oh * ow)).copy()
+        for di, band in self._bands(x):
+            y += self.params["w"][:, :, di].reshape(self.out_ch, -1) @ band
+        return y.reshape(n, self.out_ch, oh, ow), x
 
-    def backward(self, ctx, dy, need_param_grads):
-        x = ctx
-        kh = self.ksize
-        oh, ow = dy.shape[2], dy.shape[3]
-        wt = self.params["w"]
-        dx = np.zeros_like(x)
-        grads = None
+    def backward(self, ctx, dy, need_param_grads, need_input_grad=True):
+        x, wt = ctx, self.params["w"]
+        (n, c, h, w), (o, _, k, _) = x.shape, wt.shape
+        oh, ow = dy.shape[2:]
+        dx = grads = None
         if need_param_grads:
-            dw = np.zeros_like(wt)
-            for di in range(kh):
-                for dj in range(kh):
-                    dw[:, :, di, dj] = np.einsum(
-                        "nohw,nchw->oc", dy, x[:, :, di : di + oh, dj : dj + ow]
-                    )
+            dw, dyf = np.empty_like(wt), dy.reshape(n, o, -1)
+            for di, band in self._bands(x):
+                dw[:, :, di] = (dyf @ band.transpose(0, 2, 1)).sum(0).reshape(o, c, k)
             grads = {"w": dw, "b": dy.sum(axis=(0, 2, 3))}
-        for di in range(kh):
-            for dj in range(kh):
-                dx[:, :, di : di + oh, dj : dj + ow] += np.einsum(
-                    "nohw,oc->nchw", dy, wt[:, :, di, dj]
-                )
+        if need_input_grad:  # one (N*OH*OW, O) @ (O, C) GEMM per kernel tap, in NHWC
+            dyt, dx = dy.transpose(0, 2, 3, 1).reshape(-1, o), np.zeros((n, h, w, c))
+            for di, dj in np.ndindex(k, k):
+                dx[:, di : di + oh, dj : dj + ow] += (dyt @ wt[:, :, di, dj]).reshape(n, oh, ow, c)
+            dx = dx.transpose(0, 3, 1, 2)
         return dx, grads
 
 
@@ -90,42 +90,42 @@ class Relu:
     def forward(self, x, training, rng):
         return np.maximum(x, 0.0), x > 0
 
-    def backward(self, ctx, dy, need_param_grads):
+    def backward(self, ctx, dy, need_param_grads, need_input_grad=True):
         return dy * ctx, None
 
 
 class MaxPool2:
-    """2x2 max pooling, stride 2; odd trailing rows/columns are dropped."""
+    """2x2 max pooling, stride 2; odd trailing rows/columns are dropped and get
+    zero gradient. A window's gradient goes to its first maximum in row-major
+    order, the element argmax picks, so a tie (an all-zero window after a
+    ReLU) routes it to one element."""
 
     kind = "maxpool2"
     trainable = False
     params: dict = {}
 
     def forward(self, x, training, rng):
-        n, c, h, w = x.shape
-        oh, ow = h // 2, w // 2
+        oh, ow = x.shape[2] // 2, x.shape[3] // 2
         if oh < 1 or ow < 1:
-            raise DataError(f"maxpool2 needs at least 2x2 input, got {h}x{w}")
-        windows = (
-            x[:, :, : 2 * oh, : 2 * ow]
-            .reshape(n, c, oh, 2, ow, 2)
-            .transpose(0, 1, 2, 4, 3, 5)
-            .reshape(n, c, oh, ow, 4)
-        )
-        idx = windows.argmax(axis=-1)
-        y = np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
-        return y, (x.shape, idx)
+            raise DataError(f"maxpool2 needs at least 2x2 input, got {x.shape[2]}x{x.shape[3]}")
+        p = _phases(x, oh, ow)
+        y = np.maximum(np.maximum(p[0], p[1]), np.maximum(p[2], p[3]))
+        return y, (x, y)
 
-    def backward(self, ctx, dy, need_param_grads):
-        (n, c, h, w), idx = ctx
-        oh, ow = dy.shape[2], dy.shape[3]
-        scatter = np.zeros((n, c, oh, ow, 4))
-        np.put_along_axis(scatter, idx[..., None], dy[..., None], axis=-1)
-        dx = np.zeros((n, c, h, w))
-        dx[:, :, : 2 * oh, : 2 * ow] = (
-            scatter.reshape(n, c, oh, ow, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, 2 * oh, 2 * ow)
-        )
+    def backward(self, ctx, dy, need_param_grads, need_input_grad=True):
+        x, y = ctx
+        dx, free = np.zeros(x.shape), np.ones(y.shape, dtype=bool)
+        for phase, grad in zip(_phases(x, *y.shape[2:]), _phases(dx, *y.shape[2:])):
+            hit = (phase == y) & free
+            free ^= hit  # hit lies inside free: this is free &= ~hit
+            np.multiply(dy, hit, out=grad)
+        dx += 0.0  # the -0.0 of a negative dy times a miss becomes +0.0
         return dx, None
+
+
+def _phases(x, oh, ow):
+    """The four strided (N, C, OH, OW) views of the 2x2 windows, in row-major order."""
+    return [x[:, :, i : 2 * oh : 2, j : 2 * ow : 2] for i in (0, 1) for j in (0, 1)]
 
 
 class Dense:
@@ -151,12 +151,13 @@ class Dense:
             )
         return flat @ self.params["w"] + self.params["b"], (x.shape, flat)
 
-    def backward(self, ctx, dy, need_param_grads):
+    def backward(self, ctx, dy, need_param_grads, need_input_grad=True):
         in_shape, flat = ctx
-        grads = None
+        dx = grads = None
         if need_param_grads:
             grads = {"w": flat.T @ dy, "b": dy.sum(axis=0)}
-        dx = (dy @ self.params["w"].T).reshape(in_shape)
+        if need_input_grad:
+            dx = (dy @ self.params["w"].T).reshape(in_shape)
         return dx, grads
 
 
@@ -180,7 +181,7 @@ class Dropout:
         keep = (rng.random(x.shape) >= self.rate) / (1.0 - self.rate)
         return x * keep, keep
 
-    def backward(self, ctx, dy, need_param_grads):
+    def backward(self, ctx, dy, need_param_grads, need_input_grad=True):
         if ctx is None:
             return dy, None
         return dy * ctx, None
@@ -197,7 +198,7 @@ class SigmoidHead:
         p = sigmoid(x.reshape(x.shape[0]))
         return p, (x.shape, p)
 
-    def backward(self, ctx, dy, need_param_grads):
+    def backward(self, ctx, dy, need_param_grads, need_input_grad=True):
         in_shape, p = ctx
         return (dy * p * (1.0 - p)).reshape(in_shape), None
 
@@ -287,10 +288,11 @@ def _lowest_trainable(net: MicroNet) -> int:
 
 
 def _backprop(
-    net: MicroNet, cache: ForwardCache, dy: np.ndarray, stop: int
-) -> tuple[np.ndarray, dict]:
+    net: MicroNet, cache: ForwardCache, dy: np.ndarray, stop: int, input_grad: bool = True
+) -> tuple[np.ndarray | None, dict]:
     """Run the layer backward rules from just below the sigmoid head down to
-    layer `stop`; return the gradient at `stop`'s input and the parameter
+    layer `stop`; return the gradient at `stop`'s input (None when
+    `input_grad` is False, so `stop` skips computing it) and the parameter
     gradients of the trainable layers passed on the way."""
     _check_cache(net, cache)
     if stop < cache.start:
@@ -298,7 +300,8 @@ def _backprop(
     param_grads = {}
     for i in range(len(net.layers) - 2, stop - 1, -1):
         layer = net.layers[i]
-        dy, grads = layer.backward(cache.ctxs[i], dy, bool(layer.params) and layer.trainable)
+        need_params = bool(layer.params) and layer.trainable
+        dy, grads = layer.backward(cache.ctxs[i], dy, need_params, i > stop or input_grad)
         for name, g in (grads or {}).items():
             param_grads[(i, name)] = g
     return dy, param_grads
@@ -306,8 +309,9 @@ def _backprop(
 
 def backward(net: MicroNet, cache: ForwardCache, labels: np.ndarray) -> dict:
     """Backprop mean BCE into {(layer, name): gradient} for every trainable
-    parameter. The pass stops at the lowest trainable layer: the layers
-    below it are frozen, so no gradient of theirs would be used.
+    parameter. The pass stops at the lowest trainable layer, and that layer
+    skips its input gradient: the layers below it are frozen, so no gradient
+    of theirs would be used.
     """
     y = np.asarray(labels, dtype=np.float64)
     n = y.shape[0]
@@ -315,7 +319,7 @@ def backward(net: MicroNet, cache: ForwardCache, labels: np.ndarray) -> dict:
         raise ValueError(f"cache holds {cache.probs.shape[0]} rows, labels {n}")
     # Fused sigmoid+BCE derivative at the logit, averaged over the batch.
     dy = ((cache.probs - y) / n).reshape(cache.ctxs[-1][0])
-    return _backprop(net, cache, dy, _lowest_trainable(net))[1]
+    return _backprop(net, cache, dy, _lowest_trainable(net), input_grad=False)[1]
 
 
 def class_score_gradient(net: MicroNet, cache: ForwardCache, class_id: int) -> np.ndarray:
@@ -353,13 +357,20 @@ def batch_tensor(samples: list[LabeledSample]) -> np.ndarray:
     return np.stack([s.payload for s in samples])[:, None, :, :].astype(np.float64)
 
 
+def _infer(layers: list, x: np.ndarray) -> np.ndarray:
+    """Inference-mode pass through `layers` that keeps no backward context,
+    so each layer's input is freed as soon as its output exists."""
+    for layer in layers:
+        x = layer.forward(x, False, None)[0]
+    return x
+
+
 def predict_proba(net: MicroNet, samples: list[LabeledSample], batch_size: int = 64) -> np.ndarray:
     """Inference-mode probabilities, batched."""
     out = np.empty(len(samples))
     for start in range(0, len(samples), batch_size):
         chunk = samples[start : start + batch_size]
-        p, _ = forward(net, batch_tensor(chunk), training=False)
-        out[start : start + len(chunk)] = p
+        out[start : start + len(chunk)] = _infer(net.layers, batch_tensor(chunk))
     return out
 
 
@@ -381,9 +392,7 @@ def _run_epochs(
     stop = min([_lowest_trainable(net), *dropouts])
     feats = None
     for start in range(0, len(train), batch_size):
-        x = batch_tensor(train[start : start + batch_size])
-        for layer in net.layers[:stop]:
-            x, _ = layer.forward(x, False, None)
+        x = _infer(net.layers[:stop], batch_tensor(train[start : start + batch_size]))
         if feats is None:
             feats = np.empty((len(train), *x.shape[1:]))
         feats[start : start + len(x)] = x

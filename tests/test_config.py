@@ -1,8 +1,11 @@
+import dataclasses
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hybridens.config import RunConfig
+from hybridens.config import COMBINE_RULES, EVAL_LEVELS, RunConfig
 from hybridens.errors import ConfigError
 
 
@@ -61,3 +64,59 @@ def test_malformed_json_rejected(tmp_path):
         RunConfig.from_json(path)
     with pytest.raises(ConfigError, match="cannot read"):
         RunConfig.from_json(tmp_path / "absent.json")
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"K": "3"},
+        {"threshold": "0.5"},
+        {"batch_size": float("nan")},
+        {"learning_rate": float("inf")},
+        {"meta_l2": -float("inf")},
+        {"seed": 1.5},
+        {"K": 3.0},
+        {"K": True},
+        {"dropout_rate": False},
+        {"input_side": None},
+        {"task_name": 5},
+        {"eval_level": ["slice"]},
+        {"meta_l2": 10**400},
+    ],
+)
+def test_wrongly_typed_fields_rejected(overrides):
+    with pytest.raises(ConfigError, match=next(iter(overrides))):
+        RunConfig(**overrides)
+
+
+def test_integer_stands_for_a_float():
+    config = RunConfig(meta_l2=0, learning_rate=1)
+    assert RunConfig.from_dict(json.loads(json.dumps(config.to_dict()))) == config
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=4,
+)
+
+
+# Values inside every field's range, so that some documents are valid.
+_IN_RANGE = {
+    "int": st.integers(2, 50),
+    "float": st.floats(0.01, 0.99),
+    "str": st.sampled_from(COMBINE_RULES + EVAL_LEVELS),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=st.fixed_dictionaries({}, optional={
+    f.name: _IN_RANGE[f.type] | _JSON_VALUES for f in dataclasses.fields(RunConfig)}))
+def test_config_json_loads_or_raises_config_error(doc):
+    # NaN and the infinities are written as JSON accepts them from Python.
+    text = json.dumps(doc)
+    try:
+        config = RunConfig.from_dict(json.loads(text))
+    except ConfigError:
+        return
+    assert RunConfig.from_dict(json.loads(json.dumps(config.to_dict()))) == config

@@ -197,16 +197,19 @@ def test_backward_stops_at_the_lowest_trainable_layer():
     rng = np.random.default_rng(7)
     net = tiny_net(rng)
     set_trainability(net, 1)  # conv layer 3 and the head train; conv layer 0 is frozen
-    ran = []
+    ran, input_grad = [], []
     for i, layer in enumerate(net.layers):
-        def recording(ctx, dy, need, i=i, rule=layer.backward):
+        def recording(ctx, dy, need, *rest, i=i, rule=layer.backward):
             ran.append(i)
-            return rule(ctx, dy, need)
+            input_grad.append(rest[0] if rest else True)
+            return rule(ctx, dy, need, *rest)
 
         layer.backward = recording
     _, cache = forward(net, rng.random((2, 1, 10, 10)))
     grads = backward(net, cache, np.array([1, 0]))
     assert ran == list(range(len(net.layers) - 2, 2, -1))
+    # Only the lowest trainable layer (conv layer 3) skips its input gradient.
+    assert input_grad == [True] * (len(ran) - 1) + [False]
     assert sorted(grads) == net.trainable_params()
 
 
@@ -254,6 +257,77 @@ def test_parameterless_layer_input_gradients(kind):
     dx, _ = layer.backward(ctx, c, False)
     numeric = fd_gradient(objective, x.ravel().copy())
     assert rel_error(dx.ravel(), numeric) <= 1e-4
+
+
+@pytest.mark.parametrize("ksize", [3, 5])
+def test_conv_input_gradient_matches_finite_differences(ksize):
+    rng = np.random.default_rng(20 + ksize)
+    layer = Conv2d(3, 4, ksize, rng)
+    layer.params["b"][:] = rng.standard_normal(4)
+    x = rng.standard_normal((2, 3, 9, 8))  # H != W catches a swapped axis
+    y, ctx = layer.forward(x, False, None)
+    c = rng.standard_normal(y.shape)
+
+    def objective(flat):
+        return float(np.sum(c * layer.forward(flat.reshape(x.shape), False, None)[0]))
+
+    dx, grads = layer.backward(ctx, c, True)
+    assert dx.shape == x.shape
+    assert rel_error(dx.ravel(), fd_gradient(objective, x.ravel().copy())) <= 1e-4
+    no_dx, same = layer.backward(ctx, c, True, need_input_grad=False)
+    assert no_dx is None
+    assert sorted(same) == sorted(grads)
+    assert all(same[name].tobytes() == grads[name].tobytes() for name in grads)
+
+
+def _argmax_pool(x, dy):
+    """2x2/2 max pooling by argmax over each window, and its gradient routing."""
+    n, c, h, w = x.shape
+    oh, ow = h // 2, w // 2
+    windows = (x[:, :, : 2 * oh, : 2 * ow].reshape(n, c, oh, 2, ow, 2)
+               .transpose(0, 1, 2, 4, 3, 5).reshape(n, c, oh, ow, 4))
+    idx = windows.argmax(axis=-1)
+    y = np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
+    scatter = np.zeros((n, c, oh, ow, 4))
+    np.put_along_axis(scatter, idx[..., None], dy[..., None], axis=-1)
+    dx = np.zeros(x.shape)
+    dx[:, :, : 2 * oh, : 2 * ow] = (scatter.reshape(n, c, oh, ow, 2, 2)
+                                    .transpose(0, 1, 2, 4, 3, 5).reshape(n, c, 2 * oh, 2 * ow))
+    return y, dx
+
+
+_Z = -0.0
+_POOL_CASES = {
+    "all-zero": np.zeros((2, 3, 4, 6)),
+    "signed-zero-ties": np.array([[[[_Z, 0.0, 0.0, _Z, _Z, _Z],
+                                    [0.0, _Z, _Z, 0.0, _Z, -1.0],
+                                    [-2.0, _Z, -1.0, -1.0, 0.0, 0.0],
+                                    [0.0, -3.0, -1.0, _Z, 0.0, 0.0]]]]),
+    "repeated-maxima": np.array([[[[1.0, 1.0, 0.2, 0.7, 0.5, 0.3],
+                                   [0.5, 1.0, 0.7, 0.7, 0.5, 0.5],
+                                   [0.1, 0.4, 2.0, 1.0, 3.0, 3.0],
+                                   [0.4, 0.4, 2.0, 2.0, 3.0, 3.0]]]]),
+    "odd-trailing": np.random.default_rng(30).choice([-1.0, _Z, 0.0, 0.5, 1.0], (2, 2, 5, 7)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_POOL_CASES))
+def test_maxpool_matches_argmax_bit_for_bit(case):
+    x = _POOL_CASES[case]
+    layer = MaxPool2()
+    y, ctx = layer.forward(x, False, None)
+    dy = np.random.default_rng(31).standard_normal(y.shape)  # both signs
+    dx, _ = layer.backward(ctx, dy, False)
+    ref_y, ref_dx = _argmax_pool(x, dy)
+    # The gradient goes to the first maximum of each window, as argmax picks
+    # it; every other element, trailing rows and columns included, gets +0.0.
+    assert dx.tobytes() == ref_dx.tobytes()
+    assert not np.signbit(dx[dx == 0]).any()
+    # np.maximum returns either zero of a +0.0/-0.0 tie, so the forward value
+    # is bit-exact up to the sign of a zero maximum.
+    assert (y + 0.0).tobytes() == (ref_y + 0.0).tobytes()
+    if not np.signbit(x[x == 0]).any():
+        assert y.tobytes() == ref_y.tobytes()
 
 
 def test_dropout_gradient_with_frozen_mask():

@@ -256,6 +256,10 @@ def test_cli_exit_codes(tmp_path):
     synth_data(SynthSpec(subjects_per_class=3, slices_per_subject=1, image_side=16, seed=1), data)
     assert cli.main(["run", "--config", str(bad_config), "--data", str(data),
                      "--out", str(tmp_path / "o")]) == 2
+    for doc in ('{"K": "3"}', '{"threshold": "0.5"}', '{"batch_size": NaN}'):
+        bad_config.write_text(doc)
+        assert cli.main(["run", "--config", str(bad_config), "--data", str(data),
+                         "--out", str(tmp_path / "o")]) == 2, doc
     assert cli.main(["run", "--data", str(tmp_path / "nowhere"),
                      "--out", str(tmp_path / "o")]) == 3
     empty = tmp_path / "empty"
