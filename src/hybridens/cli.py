@@ -50,7 +50,8 @@ def cmd_train_base(args: argparse.Namespace) -> int:
     out = Path(args.out)
     samples = pipeline.load_image_dir(args.data, config.input_side)
     split = pipeline.split_dataset(samples, pipeline.SPLIT_RATIOS, config.seed)
-    pipeline.train_bases(config, samples, split, out)
+    with pipeline.job_map(config.K) as pool_map:
+        pipeline.train_bases(config, samples, split, out, pool_map)
     print(f"trained {config.K} base models; checkpoints and predictions under {out}")
     return 0
 

@@ -11,9 +11,11 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -55,6 +57,31 @@ def _stage(name: str):
         raise type(exc)(f"stage {name}: {exc}") from exc
     except Exception as exc:
         raise RuntimeError(f"stage {name}: {exc}") from exc
+
+
+def _worker_count(jobs: int) -> int:
+    """One worker per CPU this process may run on, and no more than `jobs`."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, jobs)
+
+
+@contextmanager
+def job_map(jobs: int) -> Iterator[Callable]:
+    """A `map` for up to `jobs` independent jobs: a process pool's, or the
+    builtin `map` when only one worker would run.  Each job is seeded by its
+    own tag and its result is placed by its index, so no output depends on
+    the worker count."""
+    workers = _worker_count(jobs)
+    if workers <= 1:
+        yield map
+        return
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(workers) as pool:
+        yield pool.map
 
 
 def _json_value(x: float) -> float | None:
@@ -135,14 +162,33 @@ def write_rocs(out_dir: Path, labels: np.ndarray, model_scores: dict) -> dict[st
     return files
 
 
+def _train_base(job: tuple) -> tuple[microcnn.MicroNet, list[dict], np.ndarray, np.ndarray]:
+    """Build and two-phase-train one base net; predict val and test with it."""
+    config, arch, train, val, test = job
+    net = microcnn.build_micronet(
+        arch, config.input_side, config.dropout_rate, rng_for(config.seed, "init", arch)
+    )
+    net, history = microcnn.train_two_phase(
+        net, train, val, config, rng_for(config.seed, "train", arch)
+    )
+    return (
+        net,
+        history,
+        microcnn.predict_proba(net, val, config.batch_size),
+        microcnn.predict_proba(net, test, config.batch_size),
+    )
+
+
 def train_bases(
     config: RunConfig,
     samples: list[LabeledSample],
     split: DatasetSplit,
     out_dir: Path,
+    map: Callable = map,
 ) -> tuple[dict[str, microcnn.MicroNet], np.ndarray, np.ndarray, list[list[dict]]]:
     """Two-phase-train the K base nets; return them with val/test predictions.
-    Writes the checkpoints, their histories, `preds_val.csv` and `preds_test.csv`."""
+    Writes the checkpoints, their histories, `preds_val.csv` and `preds_test.csv`.
+    The nets train through `map`, which may run them in any order or process."""
     train = [samples[i] for i in split.train_ids]
     val = [samples[i] for i in split.val_ids]
     test = [samples[i] for i in split.test_ids]
@@ -153,18 +199,14 @@ def train_bases(
     val_preds = np.zeros((len(val), config.K))
     test_preds = np.zeros((len(test), config.K))
     histories = []
-    for k, arch in enumerate(arch_ids):
-        net = microcnn.build_micronet(
-            arch, config.input_side, config.dropout_rate, rng_for(config.seed, "init", arch)
-        )
-        net, history = microcnn.train_two_phase(
-            net, train, val, config, rng_for(config.seed, "train", arch)
-        )
+    jobs = [(config, arch, train, val, test) for arch in arch_ids]
+    for k, (net, history, val_p, test_p) in enumerate(map(_train_base, jobs)):
+        arch = arch_ids[k]
         microcnn.save_checkpoint(net, ckpt_dir / f"{arch}.ckpt")
         _write_json(ckpt_dir / f"{arch}_history.json", {"architecture_id": arch, "epochs": history})
         nets[arch] = net
-        val_preds[:, k] = microcnn.predict_proba(net, val, config.batch_size)
-        test_preds[:, k] = microcnn.predict_proba(net, test, config.batch_size)
+        val_preds[:, k] = val_p
+        test_preds[:, k] = test_p
         histories.append(history)
     for name, part, preds in (("val", val, val_preds), ("test", test, test_preds)):
         labels = np.array([s.label for s in part], dtype=np.int64)
@@ -298,22 +340,23 @@ def run_pipeline(
     val_labels = np.array([s.label for s in val], dtype=np.int64)
     test_labels = np.array([s.label for s in test], dtype=np.int64)
 
-    with _stage("train-base"):
-        nets, val_preds, test_preds, _ = train_bases(config, samples, split, out)
-        arch_ids = list(nets)
+    with job_map(config.K * config.folds) as pool_map:
+        with _stage("train-base"):
+            nets, val_preds, test_preds, _ = train_bases(config, samples, split, out, pool_map)
+            arch_ids = list(nets)
 
-    with _stage("weights"):
-        fit = weighting.optimize_weights(
-            val_preds, val_labels, config.weight_steps, config.weight_step_size
-        )
-        _write_json(out / "weights.json", fit.to_dict())
+        with _stage("weights"):
+            fit = weighting.optimize_weights(
+                val_preds, val_labels, config.weight_steps, config.weight_step_size
+            )
+            _write_json(out / "weights.json", fit.to_dict())
 
-    with _stage("oof"):
-        folds = assign_folds(samples, split.train_ids, config.folds, config.seed)
-        oof = stacking.oof_predictions(
-            samples, split.train_ids, folds, _oof_factories(config)
-        )
-        _save_oof(out / "oof.csv", oof, samples)
+        with _stage("oof"):
+            folds = assign_folds(samples, split.train_ids, config.folds, config.seed)
+            oof = stacking.oof_predictions(
+                samples, split.train_ids, folds, _oof_factories(config), pool_map
+            )
+            _save_oof(out / "oof.csv", oof, samples)
 
     with _stage("meta"):
         meta = stacking.train_meta(

@@ -65,19 +65,35 @@ class MetaLearner:
         return {"w": [float(x) for x in self.w], "b": float(self.b)}
 
 
+def _fit_predict(job: tuple) -> np.ndarray:
+    """Fit learner k of one fold and predict that fold's holdout samples.
+    Failures carry the learner and fold ids; taxonomy errors keep their
+    type, anything else becomes a RuntimeError."""
+    factory, k, fold, fit_samples, holdout_samples = job
+    try:
+        learner = factory(fold)
+        learner.fit(fit_samples)
+        return np.asarray(learner.predict(holdout_samples), dtype=np.float64)
+    except (ConfigError, DataError, NumericError) as exc:
+        raise type(exc)(f"base learner {k} failed on fold {fold}: {exc}") from exc
+    except Exception as exc:
+        raise RuntimeError(f"base learner {k} failed on fold {fold}: {exc}") from exc
+
+
 def oof_predictions(
     samples: list[LabeledSample],
     train_ids: list[int],
     folds: FoldAssignment,
     factories: Sequence[LearnerFactory],
+    map: Callable = map,
 ) -> OofTable:
     """Train len(factories) base learners per fold and fill the OOF matrix.
 
     Each factory is called with the fold id and must return a fresh learner
     whose behaviour is fully determined by that id (seeding is the caller's
-    business).  Factory failures propagate with the learner and fold ids
-    attached; taxonomy errors keep their type, anything else is a
-    RuntimeError.
+    business).  The (fold, k) jobs share no state, so `map` may run them in
+    any order or process; a process pool's `map` needs picklable factories.
+    The first failing job in (fold, k) order raises, as `_fit_predict` does.
     """
     if not factories:
         raise ValueError("need at least one base-learner factory")
@@ -85,23 +101,18 @@ def oof_predictions(
     matrix = np.full((n, len(factories)), np.nan)
     row_of = {sample_id: row for row, sample_id in enumerate(train_ids)}
     fold_train_ids: dict[int, tuple[int, ...]] = {}
+    holdouts, jobs = [], []
     for fold in range(folds.k):
         holdout = [i for i in train_ids if folds.fold_of[i] == fold]
         fit_ids = [i for i in train_ids if folds.fold_of[i] != fold]
         fold_train_ids[fold] = tuple(fit_ids)
+        holdouts.append(holdout)
         fit_samples = [samples[i] for i in fit_ids]
         holdout_samples = [samples[i] for i in holdout]
-        for k, factory in enumerate(factories):
-            try:
-                learner = factory(fold)
-                learner.fit(fit_samples)
-                preds = np.asarray(learner.predict(holdout_samples), dtype=np.float64)
-            except (ConfigError, DataError, NumericError) as exc:
-                raise type(exc)(f"base learner {k} failed on fold {fold}: {exc}") from exc
-            except Exception as exc:
-                raise RuntimeError(f"base learner {k} failed on fold {fold}: {exc}") from exc
-            for i, p in zip(holdout, preds):
-                matrix[row_of[i], k] = p
+        jobs += [(f, k, fold, fit_samples, holdout_samples) for k, f in enumerate(factories)]
+    for (_, k, fold, _, _), preds in zip(jobs, map(_fit_predict, jobs)):
+        for i, p in zip(holdouts[fold], preds):
+            matrix[row_of[i], k] = p
     if np.isnan(matrix).any():
         raise RuntimeError("out-of-fold matrix has unfilled rows")
     labels = np.array([samples[i].label for i in train_ids], dtype=np.int64)

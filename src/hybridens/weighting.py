@@ -52,11 +52,23 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 1 or v.size < 1:
         raise ValueError(f"expected a nonempty 1-D vector, got shape {v.shape}")
+    if not np.all(np.isfinite(v)):
+        raise NumericError("cannot project a non-finite vector onto the simplex")
+    out = _sort_and_threshold(v)
+    if out is None or abs(out.sum() - 1.0) > 1e-9:
+        # Entries beyond about 2**52 absorb the threshold's -1.  The projection
+        # is invariant to a common shift, and after it the largest entry is 0.
+        out = _sort_and_threshold(v - v.max())
+    return out
+
+
+def _sort_and_threshold(v: np.ndarray) -> np.ndarray | None:
     u = np.sort(v)[::-1]
     css = np.cumsum(u) - 1.0
-    rho = np.nonzero(u * np.arange(1, v.size + 1) > css)[0][-1]
-    tau = css[rho] / (rho + 1.0)
-    return np.maximum(v - tau, 0.0)
+    hits = np.flatnonzero(u * np.arange(1, v.size + 1) > css)
+    if not hits.size:
+        return None
+    return np.maximum(v - css[hits[-1]] / (hits[-1] + 1.0), 0.0)
 
 
 def bce_gradient(alpha: np.ndarray, preds: np.ndarray, labels: np.ndarray) -> np.ndarray:

@@ -1,18 +1,29 @@
+import faulthandler
 import json
+import math
+import multiprocessing
+import os
 import pickle
+import time
+import warnings
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hybridens import cli, pipeline
 from hybridens.config import RunConfig
-from hybridens.data import load_predictions_csv, save_predictions_csv
-from hybridens.errors import NumericError
+from hybridens.data import assign_folds, load_image_dir, load_predictions_csv, save_predictions_csv
+from hybridens.errors import ConfigError, DataError, NumericError
 from hybridens.imageio import bilinear_resize, read_image, write_pgm
 from hybridens.microcnn import load_checkpoint
-from hybridens.pipeline import _oof_factories, fuse_only, render_table, run_pipeline
-from hybridens.stacking import train_meta
+from hybridens.pipeline import _oof_factories, fuse_only, render_table, run_pipeline, score_rows
+from hybridens.stacking import oof_predictions, train_meta
 from hybridens.synth import SynthSpec, synth_data
 from hybridens.weighting import optimize_weights
 
@@ -286,6 +297,8 @@ def test_cli_run_exits_4_when_an_oof_learner_fails(tmp_path, monkeypatch, capsys
         raise NumericError(f"loss diverged for {self.arch}")
 
     monkeypatch.setattr(pipeline._CnnLearner, "fit", diverge)
+    # The patch reaches pool workers only when they are forked; run serially.
+    monkeypatch.setattr(pipeline, "_worker_count", lambda jobs: 1)
     data = tmp_path / "d"
     synth_data(SynthSpec(subjects_per_class=6, slices_per_subject=2, image_side=16, seed=1), data)
     config = tmp_path / "config.json"
@@ -293,3 +306,118 @@ def test_cli_run_exits_4_when_an_oof_learner_fails(tmp_path, monkeypatch, capsys
     assert cli.main(["run", "--config", str(config), "--data", str(data),
                      "--out", str(tmp_path / "o")]) == 4
     assert "stage oof: base learner 0 failed on fold 0: loss diverged" in capsys.readouterr().err
+
+
+def test_every_job_run_pipeline_submits_pickles(tiny_run, tmp_path, monkeypatch):
+    """Jobs and results make a round trip through pickle, as they do under
+    any start method, and every output file stays byte-identical."""
+    data, run_out, _ = tiny_run
+    submitted = []
+
+    def pickling_map(fn, jobs):
+        for job in jobs:
+            fn, job = pickle.loads(pickle.dumps((fn, job)))
+            submitted.append(fn.__name__)
+            yield pickle.loads(pickle.dumps(fn(job)))
+
+    @contextmanager
+    def job_map(jobs):
+        yield pickling_map
+
+    monkeypatch.setattr(pipeline, "job_map", job_map)
+    out = tmp_path / "out"
+    run_pipeline(RunConfig(seed=21, **TINY), data, out)
+    assert submitted == ["_train_base"] * 3 + ["_fit_predict"] * 6
+    written = sorted(p.relative_to(run_out) for p in run_out.rglob("*") if p.is_file())
+    assert written == sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file())
+    for name in written:
+        assert (out / name).read_bytes() == (run_out / name).read_bytes(), name
+
+
+def test_oof_through_a_spawn_pool_matches_the_builtin_map(tmp_path):
+    data = tmp_path / "d"
+    synth_data(SynthSpec(subjects_per_class=3, slices_per_subject=2, image_side=16, seed=5), data)
+    samples = load_image_dir(data, 16)
+    ids = list(range(len(samples)))
+    folds = assign_folds(samples, ids, 2, seed=5)
+    factories = _oof_factories(RunConfig(seed=5, **TINY))
+    serial = oof_predictions(samples, ids, folds, factories)
+    with ProcessPoolExecutor(2, mp_context=multiprocessing.get_context("spawn")) as pool:
+        pooled = oof_predictions(samples, ids, folds, factories, pool.map)
+    assert pooled.matrix.tobytes() == serial.matrix.tobytes()
+    assert pooled.labels.tolist() == serial.labels.tolist()
+    assert pooled.fold_of.tolist() == serial.fold_of.tolist()
+    assert pooled.train_ids == serial.train_ids
+    assert pooled.fold_train_ids == serial.fold_train_ids
+
+
+class DyingLearner:
+    """Ends its process in the middle of a fit."""
+
+    def __init__(self, fold):
+        self.fold = fold
+
+    def fit(self, samples):
+        os._exit(1)
+
+
+def test_a_worker_dying_mid_fit_ends_the_run_in_a_stage_oof_error(tmp_path, monkeypatch):
+    # Both patches act in this process, so they hold under any start method.
+    monkeypatch.setattr(pipeline, "_worker_count", lambda jobs: 2)
+    monkeypatch.setattr(pipeline, "_oof_factories", lambda config: [DyingLearner] * config.K)
+    data = tmp_path / "d"
+    synth_data(SynthSpec(subjects_per_class=6, slices_per_subject=2, image_side=16, seed=1), data)
+    # A hang would stall the suite, so the whole process ends after 120 s.
+    faulthandler.dump_traceback_later(120, exit=True)
+    try:
+        started = time.perf_counter()
+        with pytest.raises(RuntimeError, match="stage oof") as info:
+            run_pipeline(RunConfig(seed=1, **TINY), data, tmp_path / "o")
+    finally:
+        faulthandler.cancel_dump_traceback_later()
+    assert isinstance(info.value.__cause__, BrokenProcessPool)
+    assert time.perf_counter() - started < 60
+    assert (tmp_path / "o" / "weights.json").exists()
+    assert not (tmp_path / "o" / "oof.csv").exists()
+
+
+_SCORES = st.one_of(
+    st.floats(0.0, 1.0),
+    st.sampled_from([math.nan, math.inf, -math.inf, 1.5, -0.2]),
+    st.floats(),
+)
+
+
+@st.composite
+def _score_tables(draw):
+    n, k = draw(st.integers(1, 10)), draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(_SCORES, min_size=k, max_size=k), min_size=n, max_size=n))
+    labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    return np.array(rows, dtype=np.float64), np.array(labels, dtype=np.int64)
+
+
+def _unless_taxonomy_error(call):
+    try:
+        return call()
+    except (ConfigError, DataError, NumericError):
+        return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=_score_tables())
+@example(table=(np.array([[18015.0]]), np.array([0])))  # raised IndexError in project_simplex
+def test_score_arrays_fuse_and_score_or_raise_a_taxonomy_error(table):
+    matrix, labels = table
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # single-class labels and invalid matmuls warn
+        fit = _unless_taxonomy_error(lambda: optimize_weights(matrix, labels, 50, 0.5))
+        meta = _unless_taxonomy_error(lambda: train_meta(matrix, labels, 50, 0.5))
+    if fit is not None:
+        assert np.all(fit.alpha >= 0.0) and abs(fit.alpha.sum() - 1.0) <= 1e-9, fit.alpha
+    if meta is not None:
+        assert np.all(np.isfinite(meta.w)) and math.isfinite(meta.b), meta
+    scores = {f"p{k + 1}": matrix[:, k] for k in range(matrix.shape[1])}
+    rows = _unless_taxonomy_error(lambda: score_rows(scores, labels, 0.5))
+    for row in rows or []:
+        for key in ("acc", "sen", "spe", "auc"):
+            assert row[key] is None or 0.0 <= row[key] <= 1.0, row

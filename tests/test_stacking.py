@@ -1,6 +1,10 @@
+import functools
+import time
+
 import numpy as np
 import pytest
 
+from hybridens import pipeline
 from hybridens.data import FoldAssignment, LabeledSample
 from hybridens.errors import ConfigError, DataError, NumericError
 from hybridens.stacking import (
@@ -93,6 +97,40 @@ def test_oof_learner_taxonomy_error_keeps_its_type(error):
     with pytest.raises(error, match="base learner 1 failed on fold 1: no good") as info:
         oof_predictions(samples, [0, 1, 2, 3], folds, [MeanLabelLearner, Failing])
     assert type(info.value) is error
+
+
+class RecordingLearner(MeanLabelLearner):
+    """Touches `fit<fold>` under `root` when it starts fitting.  Fold 1 fails
+    late with a NumericError, fold 2 early with a DataError, the rest after a
+    short fit."""
+
+    def __init__(self, root, fold):
+        super().__init__(fold)
+        self.root = root
+
+    def fit(self, samples):
+        (self.root / f"fit{self.fold}").touch()
+        if self.fold == 2:
+            raise DataError("fold 2 failed first")
+        time.sleep(0.2 if self.fold == 1 else 0.05)
+        if self.fold == 1:
+            raise NumericError("fold 1 failed last")
+        super().fit(samples)
+
+
+def test_pool_raises_the_lowest_failing_job_and_cancels_the_rest(tmp_path, monkeypatch):
+    # Workers import this module to unpickle the learner; the patch acts here.
+    monkeypatch.setattr(pipeline, "_worker_count", lambda jobs: 2)
+    n_folds = 32
+    samples = make_samples([i % 2 for i in range(2 * n_folds)])
+    folds = FoldAssignment(fold_of={i: i % n_folds for i in range(2 * n_folds)}, k=n_folds)
+    factories = [functools.partial(RecordingLearner, tmp_path)]
+    with pipeline.job_map(n_folds) as pool_map:
+        with pytest.raises(NumericError, match="base learner 0 failed on fold 1: fold 1 failed last"):
+            oof_predictions(samples, list(range(2 * n_folds)), folds, factories, pool_map)
+    # The DataError of fold 2 arrived first; jobs still queued were cancelled.
+    assert (tmp_path / "fit2").exists()
+    assert len(list(tmp_path.glob("fit*"))) < n_folds
 
 
 def test_meta_predict_zero_parameters_is_half():

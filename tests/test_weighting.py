@@ -72,6 +72,21 @@ def test_project_simplex_clips_to_vertex():
     assert np.allclose(project_simplex(v), [1.0, 0.0], atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "v, expected",
+    [([-1.8e16], [1.0]), ([1e17, 0.0], [1.0, 0.0]), ([-1e17, 0.5, 0.25], [0.0, 0.625, 0.375])],
+)
+def test_project_simplex_survives_entries_beyond_float_precision(v, expected):
+    # Past 2**52 the threshold's -1 vanishes in the sum of the sorted entries.
+    assert np.allclose(project_simplex(np.array(v)), expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_project_simplex_rejects_non_finite_entries(bad):
+    with pytest.raises(NumericError, match="non-finite"):
+        project_simplex(np.array([0.5, bad]))
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 8))
 def test_project_simplex_feasible_and_idempotent(seed, k):
