@@ -1,6 +1,6 @@
 """Command-line pipeline: synth-data, train-base, fuse, evaluate, explain, run.
 
-Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric failure.
+Exit codes: 0 success, 2 config error, 3 data error, 4 numeric failure, 5 I/O or stage failure.
 All state flows through flags and the config JSON; no environment variables.
 """
 
@@ -67,12 +67,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     config = _load_config(args)
     matrix, labels, _ = load_predictions_csv(args.preds)
     scores = {f"p{k + 1}": matrix[:, k] for k in range(matrix.shape[1])}
-    rows = pipeline.score_rows(scores, labels, config.threshold)
+    curves = pipeline.roc_curves(labels, scores)
+    rows = pipeline.score_rows(scores, labels, config.threshold, curves)
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         pipeline.write_report(out, {"rows": rows})
-        pipeline.write_rocs(out, labels, scores)
+        pipeline.write_rocs(out, curves)
     print(pipeline.render_table(rows), end="")
     return 0
 
@@ -170,6 +171,9 @@ def main(argv: list[str] | None = None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 4
+    except (OSError, RuntimeError) as exc:
+        print(f"run failed: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

@@ -201,46 +201,49 @@ def load_predictions_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray, list
     every label in {0, 1}; violations are rejected naming the offending line.
     """
     path = Path(path)
+    ids, labels, probs = [], [], []  # probs holds K values per row, row-major
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
+            rows = csv.reader(fh)  # read row by row: no list of every row
+            header = next(rows, None)
+            if header is None:
+                raise DataError(f"empty predictions CSV: {path}")
+            header = [h.strip() for h in header]
+            if len(header) < 3 or header[0] != "id" or header[-1] != "label":
+                raise DataError(f"{path}: header must be id,p1,...,pK,label, got {header}")
+            expected = [f"p{i}" for i in range(1, len(header) - 1)]
+            if header[1:-1] != expected:
+                raise DataError(
+                    f"{path}: probability columns must be {expected}, got {header[1:-1]}"
+                )
+            k = len(expected)
+            for lineno, row in enumerate(rows, start=2):
+                if not row:
+                    continue
+                if len(row) != k + 2:
+                    raise DataError(f"{path}:{lineno}: expected {k + 2} fields, got {len(row)}")
+                try:
+                    values = list(map(float, row[1:-1]))
+                except ValueError as exc:
+                    raise DataError(f"{path}:{lineno}: non-numeric probability") from exc
+                for v in values:
+                    if not 0.0 <= v <= 1.0:
+                        raise DataError(f"{path}:{lineno}: probability {v} outside [0, 1]")
+                label = row[-1].strip()
+                if label not in ("0", "1"):
+                    raise DataError(f"{path}:{lineno}: label must be 0 or 1, got {row[-1]!r}")
+                ids.append(row[0])
+                labels.append(label == "1")
+                probs += values
     except OSError as exc:
         raise DataError(f"cannot read predictions CSV: {path}") from exc
     except (UnicodeDecodeError, csv.Error) as exc:
+        # Met mid-stream: a malformed row before the bad byte is reported first.
         raise DataError(f"{path}: not a UTF-8 CSV: {exc}") from exc
-    if not rows:
-        raise DataError(f"empty predictions CSV: {path}")
-    header = [h.strip() for h in rows[0]]
-    if len(header) < 3 or header[0] != "id" or header[-1] != "label":
-        raise DataError(f"{path}: header must be id,p1,...,pK,label, got {header}")
-    expected = [f"p{i}" for i in range(1, len(header) - 1)]
-    if header[1:-1] != expected:
-        raise DataError(f"{path}: probability columns must be {expected}, got {header[1:-1]}")
-    k = len(expected)
-    ids: list[str] = []
-    labels: list[int] = []
-    probs: list[list[float]] = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != k + 2:
-            raise DataError(f"{path}:{lineno}: expected {k + 2} fields, got {len(row)}")
-        ids.append(row[0])
-        try:
-            values = [float(v) for v in row[1:-1]]
-        except ValueError as exc:
-            raise DataError(f"{path}:{lineno}: non-numeric probability") from exc
-        for v in values:
-            if not 0.0 <= v <= 1.0:
-                raise DataError(f"{path}:{lineno}: probability {v} outside [0, 1]")
-        label = row[-1].strip()
-        if label not in ("0", "1"):
-            raise DataError(f"{path}:{lineno}: label must be 0 or 1, got {row[-1]!r}")
-        labels.append(int(label))
-        probs.append(values)
-    if not probs:
+    if not ids:
         raise DataError(f"no data rows in predictions CSV: {path}")
-    return np.array(probs, dtype=np.float64), np.array(labels, dtype=np.int64), ids
+    matrix = np.array(probs, dtype=np.float64).reshape(len(ids), k)
+    return matrix, np.array(labels, dtype=np.int64), ids
 
 
 def save_predictions_csv(

@@ -1,7 +1,7 @@
 """Error taxonomy shared by the library and the CLI.
 
-The CLI maps these onto process exit codes (config 2, data 3, numeric 4);
-everything else is a plain bug and surfaces as the usual traceback.
+The CLI maps these onto process exit codes (config 2, data 3, numeric 4),
+and an OSError or the RuntimeError of a failed stage onto exit code 5.
 """
 
 

@@ -24,9 +24,10 @@ class ConfusionMatrix:
 
 @dataclass
 class RocCurve:
-    """Ordered (FPR, TPR) points from (0, 0) to (1, 1), both nondecreasing."""
+    """ROC points from (0, 0) to (1, 1): `fpr[i]`, `tpr[i]`, both nondecreasing."""
 
-    points: list[tuple[float, float]]
+    fpr: np.ndarray
+    tpr: np.ndarray
 
 
 def threshold(p: float, tau: float = 0.5) -> int:
@@ -82,33 +83,27 @@ def roc_curve(labels, scores) -> RocCurve:
     if n_pos == 0 or n_neg == 0:
         raise DataError("ROC needs both classes present")
     order = np.argsort(-scores, kind="stable")
-    points = [(0.0, 0.0)]
-    tp = fp = 0
-    i = 0
-    while i < len(order):
-        j = i
-        while j < len(order) and scores[order[j]] == scores[order[i]]:
-            if labels[order[j]] == 1:
-                tp += 1
-            else:
-                fp += 1
-            j += 1
-        points.append((fp / n_neg, tp / n_pos))
-        i = j
-    return RocCurve(points=points)
+    ranked = scores[order]
+    tp = np.cumsum(labels[order] == 1)
+    # The last index of each run of equal scores closes one threshold step.
+    ends = np.append(np.flatnonzero(ranked[1:] != ranked[:-1]), ranked.size - 1)
+    fpr = np.concatenate(([0.0], (ends + 1 - tp[ends]) / n_neg))
+    return RocCurve(fpr=fpr, tpr=np.concatenate(([0.0], tp[ends] / n_pos)))
 
 
 def auc(curve: RocCurve) -> float:
-    """Trapezoidal area under the ROC curve."""
-    area = 0.0
-    for (x0, y0), (x1, y1) in zip(curve.points, curve.points[1:]):
-        area += (x1 - x0) * (y0 + y1) / 2.0
-    return area
+    """Trapezoidal area under the ROC curve, summed left to right."""
+    x, y = curve.fpr, curve.tpr
+    return float(np.cumsum((x[1:] - x[:-1]) * (y[:-1] + y[1:]) / 2.0)[-1])
 
 
 def roc_points_csv(curve: RocCurve) -> str:
-    """Render the curve as `fpr,tpr` CSV text for external plotting."""
-    lines = ["fpr,tpr"]
-    for x, y in curve.points:
-        lines.append(f"{x!r},{y!r}")
-    return "\n".join(lines) + "\n"
+    """Render the curve as `fpr,tpr` CSV text, each value as its shortest `repr`."""
+    cells = []
+    for v in (curve.fpr, curve.tpr):
+        # Equal neighbours (by bits) share one formatted value: sorted, each is formatted once.
+        bits = v.view(np.int64)
+        first = np.append(True, bits[1:] != bits[:-1])
+        text = np.array(repr(v[first].tolist())[1:-1].split(", "), dtype=object)
+        cells.append(text[np.cumsum(first) - 1])
+    return "fpr,tpr\n" + "\n".join(map(",".join, zip(*cells))) + "\n"

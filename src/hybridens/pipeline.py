@@ -88,31 +88,33 @@ def _json_value(x: float) -> float | None:
     return None if (isinstance(x, float) and math.isnan(x)) else float(x)
 
 
+def roc_curves(labels: np.ndarray, model_scores: dict) -> dict[str, metrics.RocCurve]:
+    """One ROC curve per model, shared by `score_rows` and `write_rocs`."""
+    return {name: metrics.roc_curve(labels, s) for name, s in model_scores.items()}
+
+
 def score_rows(
     model_scores: dict[str, np.ndarray],
     labels: np.ndarray,
     tau: float,
+    curves: dict[str, metrics.RocCurve],
     subjects: list[str] | None = None,
     eval_level: str = "slice",
 ) -> list[dict]:
-    """ACC/SEN/SPE/AUC rows, optionally after subject-mean aggregation."""
+    """ACC/SEN/SPE/AUC rows, optionally after subject-mean aggregation.
+    Slice-level AUCs come from `curves`, the `roc_curves` of these scores."""
     rows = []
     for name, scores in model_scores.items():
         y, s = labels, np.asarray(scores, dtype=np.float64)
         if eval_level == "subject_mean":
             if subjects is None:
                 raise ValueError("subject_mean evaluation needs subject ids")
-            order = sorted(set(subjects))
-            grouped = {sub: [] for sub in order}
-            lab = {}
-            for sub, score, label in zip(subjects, s, labels):
-                grouped[sub].append(score)
-                lab[sub] = label
-            s = np.array([np.mean(grouped[sub]) for sub in order])
-            y = np.array([lab[sub] for sub in order], dtype=np.int64)
-        hard = np.array([metrics.threshold(p, tau) for p in s])
-        acc, sen, spe = metrics.acc_sen_spe(metrics.confusion(y, hard))
-        area = metrics.auc(metrics.roc_curve(y, s))
+            subs = np.asarray(subjects)
+            members = [subs == sub for sub in sorted(set(subjects))]
+            s = np.array([np.mean(s[m]) for m in members])
+            y = np.array([labels[m][-1] for m in members], dtype=np.int64)
+        acc, sen, spe = metrics.acc_sen_spe(metrics.confusion(y, s > tau))
+        area = metrics.auc(curves[name] if eval_level == "slice" else metrics.roc_curve(y, s))
         rows.append(
             {
                 "model": name,
@@ -152,12 +154,11 @@ def write_report(out_dir: Path, doc: dict) -> None:
     (out_dir / "report.txt").write_text(render_table(doc["rows"]))
 
 
-def write_rocs(out_dir: Path, labels: np.ndarray, model_scores: dict) -> dict[str, str]:
-    """One `roc_<model>.csv` per model; returns model -> file name."""
+def write_rocs(out_dir: Path, curves: dict[str, metrics.RocCurve]) -> dict[str, str]:
+    """One `roc_<model>.csv` per curve; returns model -> file name."""
     files = {}
-    for name, scores in model_scores.items():
+    for name, curve in curves.items():
         files[name] = f"roc_{name}.csv"
-        curve = metrics.roc_curve(labels, scores)
         (out_dir / files[name]).write_text(metrics.roc_points_csv(curve))
     return files
 
@@ -367,18 +368,15 @@ def run_pipeline(
     with _stage("evaluate"):
         rule = config.fusion_combine_rule
         model_scores = _model_scores(test_preds, arch_ids, fit.alpha, meta, rule)
+        curves = roc_curves(test_labels, model_scores)
+        subjects = [s.subject_id for s in test]
         rows = score_rows(
-            model_scores,
-            test_labels,
-            config.threshold,
-            subjects=[s.subject_id for s in test],
-            eval_level=config.eval_level,
+            model_scores, test_labels, config.threshold, curves, subjects, config.eval_level
         )
         if roc_from_folds:
             oof_scores = _model_scores(oof.matrix, arch_ids, fit.alpha, meta, rule)
-            roc_files = write_rocs(out, oof.labels, oof_scores)
-        else:
-            roc_files = write_rocs(out, test_labels, model_scores)
+            curves = roc_curves(oof.labels, oof_scores)
+        roc_files = write_rocs(out, curves)
 
     with _stage("explain"):
         if explain_model is None:
@@ -435,29 +433,29 @@ def fuse_only(
     if not 0.0 < holdin_fraction < 1.0:
         raise ConfigError(f"holdin fraction must be in (0, 1), got {holdin_fraction}")
     rng = rng_for(config.seed, "fuse-split")
-    fit_rows: list[int] = []
-    eval_rows: list[int] = []
+    fit_parts, eval_parts = [], []
     for label in (0, 1):
         members = np.flatnonzero(labels == label)
         rng.shuffle(members)
         cut = int(round(len(members) * holdin_fraction))
-        fit_rows.extend(members[:cut])
-        eval_rows.extend(members[cut:])
-    fit_rows.sort()
-    eval_rows.sort()
-    if not fit_rows or not eval_rows:
+        fit_parts.append(members[:cut])
+        eval_parts.append(members[cut:])
+    fit_rows, eval_rows = np.sort(np.concatenate(fit_parts)), np.sort(np.concatenate(eval_parts))
+    if not fit_rows.size or not eval_rows.size:
         raise DataError("held-in split left an empty side; need more rows")
 
+    fit_matrix, fit_labels = matrix[fit_rows], labels[fit_rows]
     fit = weighting.optimize_weights(
-        matrix[fit_rows], labels[fit_rows], config.weight_steps, config.weight_step_size
+        fit_matrix, fit_labels, config.weight_steps, config.weight_step_size
     )
     meta = stacking.train_meta(
-        matrix[fit_rows], labels[fit_rows], config.meta_epochs, config.meta_lr, config.meta_l2
+        fit_matrix, fit_labels, config.meta_epochs, config.meta_lr, config.meta_l2
     )
     eval_matrix, eval_labels = matrix[eval_rows], labels[eval_rows]
     names = [f"p{k + 1}" for k in range(matrix.shape[1])]
     model_scores = _model_scores(eval_matrix, names, fit.alpha, meta, config.fusion_combine_rule)
-    rows = score_rows(model_scores, eval_labels, config.threshold)
+    curves = roc_curves(eval_labels, model_scores)
+    rows = score_rows(model_scores, eval_labels, config.threshold, curves)
     report = RunReport(
         seed=config.seed,
         task=config.task_name,
@@ -476,7 +474,7 @@ def fuse_only(
         report.files = {
             "weights": "weights.json",
             "meta": "meta.json",
-            "roc": write_rocs(out, eval_labels, model_scores),
+            "roc": write_rocs(out, curves),
         }
         write_report(out, asdict(report))
     return report

@@ -136,15 +136,19 @@ def meta_predict(m: MetaLearner, p: np.ndarray) -> float | np.ndarray:
     return float(out[0]) if np.ndim(z) == 0 else out
 
 
-def _meta_loss(w: np.ndarray, b: float, feats: np.ndarray, y: np.ndarray, l2: float) -> float:
-    return mean_bce(sigmoid(feats @ w + b), y) + 0.5 * l2 * float(w @ w)
+def _meta_loss(
+    w: np.ndarray, b: float, feats: np.ndarray, y: np.ndarray, l2: float
+) -> tuple[float, np.ndarray]:
+    """Mean BCE + (l2/2)||w||^2 at (w, b), and the p = sigmoid(feats w + b) it scored."""
+    p = sigmoid(feats @ w + b)
+    return mean_bce(p, y) + 0.5 * l2 * float(w @ w), p
 
 
 def meta_gradient(
-    w: np.ndarray, b: float, feats: np.ndarray, y: np.ndarray, l2: float
+    p: np.ndarray, w: np.ndarray, feats: np.ndarray, y: np.ndarray, l2: float
 ) -> tuple[np.ndarray, float]:
-    """Analytic gradient of mean BCE + (l2/2)||w||^2 in (w, b)."""
-    r = sigmoid(feats @ w + b) - y
+    """Analytic gradient in (w, b) of the objective `_meta_loss` scored as p."""
+    r = p - y
     n = len(y)
     return feats.T @ r / n + l2 * w, float(np.sum(r) / n)
 
@@ -159,7 +163,8 @@ def train_meta(
     """Full-batch gradient descent on ridge-regularized BCE from (w, b) = 0.
 
     A step that would increase the objective is retried at half the rate, so
-    the final loss never exceeds the initial one.
+    the final loss never exceeds the initial one.  The accepted step's
+    probabilities feed the next gradient.
     """
     feats = np.asarray(oof_matrix, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
@@ -167,22 +172,20 @@ def train_meta(
         raise ValueError(f"OOF matrix {feats.shape} does not match {y.shape[0]} labels")
     w = np.zeros(feats.shape[1])
     b = 0.0
-    loss = _meta_loss(w, b, feats, y, l2)
+    loss, p = _meta_loss(w, b, feats, y, l2)
     for epoch in range(epochs):
-        gw, gb = meta_gradient(w, b, feats, y, l2)
+        gw, gb = meta_gradient(p, w, feats, y, l2)
         if not (np.all(np.isfinite(gw)) and np.isfinite(gb) and np.isfinite(loss)):
             raise NumericError(f"non-finite meta-learner loss or gradient at epoch {epoch}")
         rate = lr
-        accepted = False
         for _ in range(MAX_HALVINGS):
             wt, bt = w - rate * gw, b - rate * gb
-            lt = _meta_loss(wt, bt, feats, y, l2)
+            lt, pt = _meta_loss(wt, bt, feats, y, l2)
             if lt <= loss:
-                w, b, loss = wt, bt, lt
-                accepted = True
+                w, b, loss, p = wt, bt, lt, pt
                 break
             rate *= 0.5
-        if not accepted:
+        else:  # no halving lowered the objective
             break
     return MetaLearner(w=w, b=b)
 

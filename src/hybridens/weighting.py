@@ -33,12 +33,8 @@ def weighted_predict(alpha: np.ndarray, p: np.ndarray) -> float | np.ndarray:
 def sigmoid(z: np.ndarray) -> np.ndarray:
     """Logistic function of a float64 array, without overflow for any sign of z."""
     z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(-np.abs(z))  # exp(-z) where z >= 0, exp(z) elsewhere: never above 1
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def mean_bce(p_hat: np.ndarray, labels: np.ndarray) -> float:

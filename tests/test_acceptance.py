@@ -189,10 +189,10 @@ def test_c3_meta_and_weight_gradient_oracles():
         w = rng.normal(size=3)
         b = float(rng.normal())
         l2 = float(rng.random())
-        gw, gb = meta_gradient(w, b, feats, y, l2)
-        fw = fd_gradient(lambda t: _meta_loss(t, b, feats, y, l2), w, h_scale=1e-6)
+        gw, gb = meta_gradient(_meta_loss(w, b, feats, y, l2)[1], w, feats, y, l2)
+        fw = fd_gradient(lambda t: _meta_loss(t, b, feats, y, l2)[0], w, h_scale=1e-6)
         fb = fd_gradient(
-            lambda t: _meta_loss(w, float(t[0]), feats, y, l2), np.array([b]), h_scale=1e-6
+            lambda t: _meta_loss(w, float(t[0]), feats, y, l2)[0], np.array([b]), h_scale=1e-6
         )[0]
         worst_meta = max(worst_meta, rel_error(np.append(gw, gb), np.append(fw, fb)))
 

@@ -211,6 +211,22 @@ def test_predictions_csv_rejections_name_the_line(tmp_path):
         load_predictions_csv(path)
 
 
+def test_predictions_csv_streams_so_an_earlier_bad_row_is_named_first(tmp_path):
+    """Rows are checked as they are read.  A malformed row is reported before
+    a non-UTF-8 byte or an over-long field that the reader meets only later;
+    a bad byte inside the first decoded chunk is still reported first."""
+    path = tmp_path / "p.csv"
+    head = b"id,p1,p2,label\na,0.1,0.9,1\nb,0.3,0\n"
+    filler = b"".join(b"r%05d,0.5,0.5,1\n" % i for i in range(1000))  # past one read chunk
+    for tail in (filler + b"c,0.\xff,0.1,1\n", b"c," + b"1" * 200_000 + b",0.1,1\n"):
+        path.write_bytes(head + tail)
+        with pytest.raises(DataError, match=r"p\.csv:3: expected 4 fields, got 3"):
+            load_predictions_csv(path)
+    path.write_bytes(head + b"c,0.\xff,0.1,1\n")
+    with pytest.raises(DataError, match="not a UTF-8 CSV"):
+        load_predictions_csv(path)
+
+
 def test_predictions_csv_round_trip(tmp_path):
     rng = np.random.default_rng(5)
     matrix = rng.random((6, 3))

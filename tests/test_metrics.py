@@ -18,6 +18,11 @@ from hybridens.metrics import (
 from oracle_utils import mw_auc
 
 
+def points(curve):
+    """The curve's (FPR, TPR) points as Python float pairs."""
+    return list(zip(curve.fpr.tolist(), curve.tpr.tolist()))
+
+
 @pytest.mark.parametrize(
     "p,tau,expected",
     [(0.7, 0.5, 1), (0.5, 0.5, 0), (0.49, 0.3, 1), (0.3, 0.3, 0)],
@@ -74,13 +79,13 @@ def test_acc_sen_spe_invariant_under_permutation():
 
 def test_roc_perfect_separation_passes_through_corner():
     curve = roc_curve([1, 1, 0, 0], [0.9, 0.8, 0.2, 0.1])
-    assert (0.0, 1.0) in curve.points
+    assert (0.0, 1.0) in points(curve)
     assert auc(curve) == 1.0
 
 
 def test_roc_all_tied_scores_is_diagonal():
     curve = roc_curve([1, 0, 1, 0], [0.5, 0.5, 0.5, 0.5])
-    assert curve.points == [(0.0, 0.0), (1.0, 1.0)]
+    assert points(curve) == [(0.0, 0.0), (1.0, 1.0)]
     assert auc(curve) == 0.5
 
 
@@ -101,9 +106,9 @@ def test_roc_invariants_on_random_instances():
             labels[0] = 1 - labels[0]
         scores = np.round(rng.random(n), 2)  # rounding forces ties
         curve = roc_curve(labels, scores)
-        xs, ys = zip(*curve.points)
-        assert curve.points[0] == (0.0, 0.0)
-        assert curve.points[-1] == (1.0, 1.0)
+        xs, ys = curve.fpr, curve.tpr
+        assert points(curve)[0] == (0.0, 0.0)
+        assert points(curve)[-1] == (1.0, 1.0)
         assert all(a <= b + 1e-15 for a, b in zip(xs, xs[1:]))
         assert all(a <= b + 1e-15 for a, b in zip(ys, ys[1:]))
         assert abs(auc(curve) - mw_auc(labels, scores)) <= 1e-12
@@ -134,7 +139,7 @@ def test_monotone_transform_leaves_curve_unchanged(seed):
     scores = np.round(rng.random(25), 1)
     base = roc_curve(labels, scores)
     warped = roc_curve(labels, np.exp(3.0 * scores) + 1.0)
-    assert base.points == warped.points
+    assert points(base) == points(warped)
 
 
 def test_roc_rejects_single_class():
@@ -154,4 +159,72 @@ def test_roc_csv_round_trips_points():
     lines = text.strip().splitlines()
     assert lines[0] == "fpr,tpr"
     parsed = [tuple(float(v) for v in line.split(",")) for line in lines[1:]]
-    assert parsed == curve.points
+    assert parsed == points(curve)
+
+
+def _scalar_roc_points(labels, scores):
+    """The per-point group sweep the array code replaced, kept as its reference."""
+    labels = np.asarray(labels, dtype=np.int64)
+    scores = np.asarray(scores, dtype=np.float64)
+    n_pos, n_neg = int(np.sum(labels == 1)), int(np.sum(labels == 0))
+    order = np.argsort(-scores, kind="stable")
+    points, tp, fp, i = [(0.0, 0.0)], 0, 0, 0
+    while i < len(order):
+        j = i
+        while j < len(order) and scores[order[j]] == scores[order[i]]:
+            if labels[order[j]] == 1:
+                tp += 1
+            else:
+                fp += 1
+            j += 1
+        points.append((fp / n_neg, tp / n_pos))
+        i = j
+    return points
+
+
+def _scalar_auc(points):
+    area = 0.0
+    for (x0, y0), (x1, y1) in zip(points, points[1:]):
+        area += (x1 - x0) * (y0 + y1) / 2.0
+    return area
+
+
+def _scalar_csv(points):
+    return "\n".join(["fpr,tpr"] + [f"{x!r},{y!r}" for x, y in points]) + "\n"
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["rounded", "signed_zeros", "few", "normal"]))
+def test_roc_auc_and_csv_match_the_scalar_sweep_bit_for_bit(seed, kind):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 200))
+    labels = rng.integers(0, 2, n)
+    labels[rng.permutation(n)[:2]] = (0, 1)
+    scores = {
+        "rounded": lambda: np.round(rng.random(n), int(rng.integers(0, 3))),
+        "signed_zeros": lambda: rng.choice([0.0, -0.0, 0.25, -0.25], n),
+        "few": lambda: rng.choice(rng.standard_normal(3), n),
+        "normal": lambda: rng.standard_normal(n),
+    }[kind]()
+    ref = _scalar_roc_points(labels, scores)
+    curve = roc_curve(labels, scores)
+    assert _bits(curve.fpr) == _bits([x for x, _ in ref])
+    assert _bits(curve.tpr) == _bits([y for _, y in ref])
+    assert _bits([auc(curve)]) == _bits([_scalar_auc(ref)])
+    assert roc_points_csv(curve) == _scalar_csv(ref)
+
+
+@pytest.mark.parametrize(
+    "labels,scores",
+    [([0, 1], [0.5, 0.5]), ([1, 0], [0.0, -0.0]), ([0, 1, 1], [-0.0, 0.0, -0.0])],
+)
+def test_two_point_curves_match_the_scalar_sweep(labels, scores):
+    ref = _scalar_roc_points(labels, scores)
+    curve = roc_curve(labels, scores)
+    assert len(ref) == 2 and points(curve) == ref
+    assert auc(curve) == _scalar_auc(ref) == 0.5
+    assert roc_points_csv(curve) == _scalar_csv(ref) == "fpr,tpr\n0.0,0.0\n1.0,1.0\n"

@@ -8,6 +8,7 @@ import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -23,7 +24,7 @@ from hybridens.errors import ConfigError, DataError, NumericError
 from hybridens.imageio import bilinear_resize, read_image, write_pgm
 from hybridens.microcnn import load_checkpoint
 from hybridens.pipeline import _oof_factories, fuse_only, render_table, run_pipeline, score_rows
-from hybridens.stacking import oof_predictions, train_meta
+from hybridens.stacking import MetaLearner, oof_predictions, train_meta
 from hybridens.synth import SynthSpec, synth_data
 from hybridens.weighting import optimize_weights
 
@@ -135,8 +136,48 @@ def test_roc_from_folds_pools_oof_predictions(tiny_run, tmp_path):
     lines = (out / "oof.csv").read_text().strip().splitlines()[1:]
     matrix = np.array([[float(v) for v in line.split(",")[2:5]] for line in lines])
     labels = np.array([int(line.split(",")[-1]) for line in lines])
-    expected = roc_points_csv(roc_curve(labels, matrix[:, 0]))
-    assert (out / pooled.files["roc"]["convA"]).read_text() == expected
+    alpha = np.array(json.loads((out / "weights.json").read_text())["alpha"])
+    meta = MetaLearner(**{k: np.array(v) if k == "w" else v
+                          for k, v in json.loads((out / "meta.json").read_text()).items()})
+    oof_scores = pipeline._model_scores(matrix, ["convA", "convB", "convC"], alpha, meta,
+                                        config.fusion_combine_rule)
+    assert list(pooled.files["roc"]) == list(oof_scores)
+    for name, scores in oof_scores.items():
+        expected = roc_points_csv(roc_curve(labels, scores))
+        assert (out / pooled.files["roc"][name]).read_text() == expected, name
+
+
+def test_each_model_curve_is_built_once(tmp_path, monkeypatch):
+    """`score_rows` and `write_rocs` share one ROC curve per model, and the
+    fusion path calls each step through its module attribute, where the
+    benchmark's layer trace wraps it."""
+    from hybridens import metrics, stacking
+
+    calls = Counter()
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls.update([name])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    for owner, name in ((metrics, "roc_curve"), (metrics, "auc"), (metrics, "roc_points_csv"),
+                        (stacking, "train_meta"), (pipeline, "score_rows")):
+        count(owner, name)
+    rng = np.random.default_rng(2)
+    path = tmp_path / "p.csv"
+    save_predictions_csv(path, rng.random((60, 3)), rng.integers(0, 2, 60), list("x" * 60))
+    fuse_only(path, RunConfig(seed=2), tmp_path / "fuse")
+    assert calls == {"roc_curve": 6, "auc": 6, "roc_points_csv": 6, "train_meta": 1,
+                     "score_rows": 1}
+    assert len(list((tmp_path / "fuse").glob("roc_*.csv"))) == 6
+    calls.clear()
+    assert cli.main(["evaluate", "--preds", str(path), "--out", str(tmp_path / "ev")]) == 0
+    assert calls == {"roc_curve": 3, "auc": 3, "roc_points_csv": 3, "score_rows": 1}
+    assert len(list((tmp_path / "ev").glob("roc_*.csv"))) == 3
 
 
 def make_fuse_csv(path, n=80, seed=0, perfect_first=False):
@@ -260,7 +301,7 @@ def test_cli_explain_resizes_to_the_net_input(tiny_run, tmp_path):
                      "--out", str(tmp_path / "xai")]) == 3
 
 
-def test_cli_exit_codes(tmp_path):
+def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
     bad_config = tmp_path / "bad.json"
     bad_config.write_text('{"K": 1}')
     data = tmp_path / "d"
@@ -281,6 +322,22 @@ def test_cli_exit_codes(tmp_path):
     bad_csv = tmp_path / "bad.csv"
     bad_csv.write_text("id,p1,p2,label\na,2.0,0.1,1\n")
     assert cli.main(["evaluate", "--preds", str(bad_csv)]) == 3
+    # An output directory that cannot be made, and a stage that fails with an
+    # error outside the taxonomy, each end in one stderr line and exit 5.
+    good_csv, blocker = tmp_path / "good.csv", tmp_path / "blocker"
+    make_fuse_csv(good_csv)
+    blocker.write_text("a file, not a directory")
+    capsys.readouterr()
+    assert cli.main(["evaluate", "--preds", str(good_csv), "--out", str(blocker / "x")]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("run failed: ") and err.count("\n") == 1, err
+
+    def crash(*args):
+        raise ZeroDivisionError("division by zero")
+
+    monkeypatch.setattr(pipeline, "split_dataset", crash)
+    assert cli.main(["run", "--data", str(data), "--out", str(tmp_path / "o")]) == 5
+    assert capsys.readouterr().err == "run failed: stage split: division by zero\n"
     # Flags nothing reads are not registered, so argparse rejects them.
     for argv in (
         ["explain", "--checkpoint", "f.ckpt", "--image", "x.pgm", "--out", "o", "--config", "c"],
@@ -417,7 +474,8 @@ def test_score_arrays_fuse_and_score_or_raise_a_taxonomy_error(table):
     if meta is not None:
         assert np.all(np.isfinite(meta.w)) and math.isfinite(meta.b), meta
     scores = {f"p{k + 1}": matrix[:, k] for k in range(matrix.shape[1])}
-    rows = _unless_taxonomy_error(lambda: score_rows(scores, labels, 0.5))
+    rows = _unless_taxonomy_error(
+        lambda: score_rows(scores, labels, 0.5, pipeline.roc_curves(labels, scores)))
     for row in rows or []:
         for key in ("acc", "sen", "spe", "auc"):
             assert row[key] is None or 0.0 <= row[key] <= 1.0, row

@@ -156,9 +156,9 @@ def test_meta_gradient_matches_finite_differences():
         w = rng.normal(size=3)
         b = float(rng.normal())
         l2 = float(rng.random())
-        gw, gb = meta_gradient(w, b, feats, y, l2)
-        fw = fd_gradient(lambda t: _meta_loss(t, b, feats, y, l2), w, h_scale=1e-6)
-        fb = fd_gradient(lambda t: _meta_loss(w, float(t[0]), feats, y, l2),
+        gw, gb = meta_gradient(_meta_loss(w, b, feats, y, l2)[1], w, feats, y, l2)
+        fw = fd_gradient(lambda t: _meta_loss(t, b, feats, y, l2)[0], w, h_scale=1e-6)
+        fb = fd_gradient(lambda t: _meta_loss(w, float(t[0]), feats, y, l2)[0],
                          np.array([b]), h_scale=1e-6)[0]
         assert rel_error(np.append(gw, gb), np.append(fw, fb)) <= 1e-5
 
@@ -176,8 +176,8 @@ def test_train_meta_loss_never_increases_from_start():
     feats = rng.random((40, 3))
     y = rng.integers(0, 2, 40)
     m = train_meta(feats, y, epochs=200, lr=2.0, l2=0.1)
-    initial = _meta_loss(np.zeros(3), 0.0, feats, y.astype(float), 0.1)
-    final = _meta_loss(m.w, m.b, feats, y.astype(float), 0.1)
+    initial = _meta_loss(np.zeros(3), 0.0, feats, y.astype(float), 0.1)[0]
+    final = _meta_loss(m.w, m.b, feats, y.astype(float), 0.1)[0]
     assert final <= initial
 
 
@@ -228,3 +228,42 @@ def test_hybrid_idempotent_when_components_agree():
     alpha = np.array([1.0, 0.0])
     meta = MetaLearner(w=np.zeros(2), b=np.log(0.8 / 0.2))
     assert hybrid_predict(alpha, meta, np.array([0.8, 0.1]), "mean") == pytest.approx(0.8)
+
+
+def _recomputing_train_meta(feats, y, epochs, lr, l2):
+    """The loop that scored every accepted step twice, kept as the reference;
+    returns (w, b, halvings taken)."""
+    from hybridens.weighting import MAX_HALVINGS, mean_bce, sigmoid
+
+    def loss_at(w, b):
+        return mean_bce(sigmoid(feats @ w + b), y) + 0.5 * l2 * float(w @ w)
+
+    w, b, halvings = np.zeros(feats.shape[1]), 0.0, 0
+    loss = loss_at(w, b)
+    for _ in range(epochs):
+        r = sigmoid(feats @ w + b) - y
+        gw, gb = feats.T @ r / len(y) + l2 * w, float(np.sum(r) / len(y))
+        rate = lr
+        for _ in range(MAX_HALVINGS):
+            wt, bt = w - rate * gw, b - rate * gb
+            lt = loss_at(wt, bt)
+            if lt <= loss:
+                w, b, loss = wt, bt, lt
+                break
+            rate *= 0.5
+            halvings += 1
+        else:
+            break
+    return w, b, halvings
+
+
+@pytest.mark.parametrize("l2", [0.0, 0.05])
+def test_train_meta_matches_the_recomputing_loop_bit_for_bit(l2):
+    rng = np.random.default_rng(21)
+    y = rng.integers(0, 2, 300).astype(np.float64)
+    signal = (y[:, None] - 0.5) * rng.random(3)
+    feats = np.clip(0.5 + signal + 0.3 * rng.standard_normal((300, 3)), 0.0, 1.0)
+    w, b, halvings = _recomputing_train_meta(feats, y, 150, 40.0, l2)
+    assert halvings > 0  # a rate this large overshoots, so steps are retried
+    m = train_meta(feats, y, epochs=150, lr=40.0, l2=l2)
+    assert m.w.tobytes() == w.tobytes() and repr(m.b) == repr(b)

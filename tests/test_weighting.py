@@ -11,6 +11,7 @@ from hybridens.weighting import (
     mean_bce,
     optimize_weights,
     project_simplex,
+    sigmoid,
     weighted_predict,
 )
 from oracle_utils import fd_gradient, grid_simplex2_bce, rel_error
@@ -188,3 +189,26 @@ def test_optimize_weights_rejects_non_finite():
     preds = np.array([[np.nan, 0.5], [0.2, 0.8]])
     with pytest.raises(NumericError):
         optimize_weights(preds, np.array([1, 0]))
+
+
+def _masked_sigmoid(z):
+    """The two-branch sigmoid the one-pass form replaced, kept as its reference."""
+    z = np.asarray(z, dtype=np.float64)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def test_sigmoid_matches_the_masked_form_bit_for_bit():
+    edges = np.array([0.0, -0.0, 800.0, -800.0, 1e-300, -1e-300, 5e-324, -5e-324,
+                      36.7, -36.7, 709.8, -709.8, 745.2, -745.2, math.inf, -math.inf])
+    rng = np.random.default_rng(3)
+    spread = rng.standard_normal(4001) * 10.0 ** rng.uniform(-300, 3, 4001)
+    for z in (edges, spread, rng.standard_normal((7, 5)), np.float64(-2.5)):
+        assert sigmoid(z).tobytes() == _masked_sigmoid(z).tobytes()
+    assert str(sigmoid(np.array([-0.0]))[0]) == "0.5"
+    # NaN stays NaN; its sign bit is not kept, and no output prints it.
+    assert np.isnan(sigmoid(np.array([math.nan, -math.nan]))).all()
