@@ -18,7 +18,7 @@ from .data import (
 )
 from .errors import ConfigError, DataError, NumericError
 from .gradcam import CamHeatmap, channel_importance, compute_cam, explain, render_overlay
-from .metrics import ConfusionMatrix, RocCurve, acc_sen_spe, auc, confusion, roc_curve, threshold
+from .metrics import ConfusionMatrix, RocCurve, acc_sen_spe, auc, confusion, roc_curve
 from .microcnn import MicroNet, adam_step, backward, build_micronet, forward, train_two_phase
 from .pipeline import RunReport, fuse_only, run_pipeline
 from .stacking import MetaLearner, OofTable, hybrid_predict, meta_predict, oof_predictions, train_meta
@@ -48,7 +48,6 @@ __all__ = [
     "auc",
     "confusion",
     "roc_curve",
-    "threshold",
     "MicroNet",
     "adam_step",
     "backward",

@@ -65,13 +65,12 @@ def cmd_fuse(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    matrix, labels, _ = load_predictions_csv(args.preds)
+    matrix, labels = load_predictions_csv(args.preds)
     scores = {f"p{k + 1}": matrix[:, k] for k in range(matrix.shape[1])}
     curves = pipeline.roc_curves(labels, scores)
     rows = pipeline.score_rows(scores, labels, config.threshold, curves)
     if args.out:
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
         pipeline.write_report(out, {"rows": rows})
         pipeline.write_rocs(out, curves)
     print(pipeline.render_table(rows), end="")
@@ -82,7 +81,6 @@ def cmd_explain(args: argparse.Namespace) -> int:
     net = microcnn.load_checkpoint(args.checkpoint)
     image = bilinear_resize(read_image(args.image), net.input_side, net.input_side)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     pipeline.write_explanation(
         net, image, args.class_id, out, Path(args.image).stem, {"image": str(args.image)}
     )

@@ -8,13 +8,14 @@ metrics honest when subjects contribute multiple slices.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError
-from .imageio import bilinear_resize, read_image
+from .imageio import bilinear_resize, read_image, write_file
 from .seeding import rng_for
 
 LABEL_DIRS = {"neg": 0, "pos": 1}
@@ -194,14 +195,14 @@ def load_image_dir(path: str | Path, input_side: int | None = None) -> list[Labe
     return samples
 
 
-def load_predictions_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray, list[str]]:
+def load_predictions_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     """Parse a `id,p1,...,pK,label` CSV into (N, K) probabilities and labels.
 
-    Returns (matrix, labels, ids).  Every probability must lie in [0, 1] and
-    every label in {0, 1}; violations are rejected naming the offending line.
+    Returns (matrix, labels); ids are not read.  Every probability must lie
+    in [0, 1] and every label in {0, 1}; violations name the offending line.
     """
     path = Path(path)
-    ids, labels, probs = [], [], []  # probs holds K values per row, row-major
+    labels, probs = [], []  # probs holds K values per row, row-major
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             rows = csv.reader(fh)  # read row by row: no list of every row
@@ -232,33 +233,38 @@ def load_predictions_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray, list
                 label = row[-1].strip()
                 if label not in ("0", "1"):
                     raise DataError(f"{path}:{lineno}: label must be 0 or 1, got {row[-1]!r}")
-                ids.append(row[0])
                 labels.append(label == "1")
                 probs += values
     except OSError as exc:
         raise DataError(f"cannot read predictions CSV: {path}") from exc
-    except (UnicodeDecodeError, csv.Error) as exc:
-        # Met mid-stream: a malformed row before the bad byte is reported first.
+    except UnicodeDecodeError as exc:  # met mid-stream: an earlier bad row is reported first
         raise DataError(f"{path}: not a UTF-8 CSV: {exc}") from exc
-    if not ids:
+    except csv.Error as exc:  # also mid-stream, e.g. a field over the reader's size limit
+        raise DataError(f"{path}: malformed CSV: {exc}") from exc
+    if not labels:
         raise DataError(f"no data rows in predictions CSV: {path}")
-    matrix = np.array(probs, dtype=np.float64).reshape(len(ids), k)
-    return matrix, np.array(labels, dtype=np.int64), ids
+    matrix = np.array(probs, dtype=np.float64).reshape(len(labels), k)
+    return matrix, np.array(labels, dtype=np.int64)
 
 
 def save_predictions_csv(
-    path: str | Path,
-    matrix: np.ndarray,
-    labels: np.ndarray,
-    ids: list[str],
+    path: str | Path, matrix: np.ndarray, labels: np.ndarray, ids: list[str],
+    folds: np.ndarray | None = None,
 ) -> None:
-    """Write the `id,p1,...,pK,label` schema read by :func:`load_predictions_csv`."""
+    """Write the `id,p1,...,pK,label` schema read by :func:`load_predictions_csv`,
+    with a `fold` column after `id` when `folds` is given.  Lines end in LF;
+    fields are quoted as RFC 4180 asks, only where they need it."""
     matrix = np.asarray(matrix, dtype=np.float64)
     n, k = matrix.shape
-    if len(labels) != n or len(ids) != n:
-        raise ValueError("matrix, labels, and ids must have matching lengths")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id"] + [f"p{i}" for i in range(1, k + 1)] + ["label"])
-        for i in range(n):
-            writer.writerow([ids[i]] + [repr(float(v)) for v in matrix[i]] + [int(labels[i])])
+    if len(labels) != n or len(ids) != n or (folds is not None and len(folds) != n):
+        raise ValueError("matrix, labels, ids and folds must have matching lengths")
+    if folds is None:
+        head, lead = ["id"], [[i] for i in ids]
+    else:
+        head, lead = ["id", "fold"], [[i, int(f)] for i, f in zip(ids, folds)]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(head + [f"p{i}" for i in range(1, k + 1)] + ["label"])
+    for i in range(n):
+        writer.writerow(lead[i] + [repr(float(v)) for v in matrix[i]] + [int(labels[i])])
+    write_file(path, buf.getvalue())

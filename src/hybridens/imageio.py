@@ -1,4 +1,5 @@
-"""Grayscale image I/O (binary PGM/PPM, minimal PNG) and bilinear resizing.
+"""Grayscale image I/O (binary PGM/PPM, minimal PNG), bilinear resizing, and
+the one atomic file writer every artifact goes through.
 
 Images travel through the pipeline as float64 arrays of shape (H, W) with
 intensities in [0, 1].  One bilinear routine serves both dataset ingestion
@@ -7,6 +8,7 @@ and heatmap upsampling so it is tested once.
 
 from __future__ import annotations
 
+import os
 import struct
 import zlib
 from pathlib import Path
@@ -16,6 +18,23 @@ import numpy as np
 from .errors import DataError
 
 _PNG_SIGNATURE = b"\x89PNG\r\n\x1a\n"
+
+
+def write_file(path: str | Path, data: bytes | str) -> None:
+    """Write `data` (a str as UTF-8) to `path` whole or not at all: the bytes
+    go to a hidden temporary sibling that `os.replace` then moves onto `path`.
+    The parent directory is created; on failure the old `path` is untouched."""
+    path = Path(path)
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_image(path: str | Path) -> np.ndarray:
@@ -39,9 +58,7 @@ def write_pgm(path: str | Path, image: np.ndarray) -> None:
         raise ValueError(f"expected 2-D grayscale image, got shape {img.shape}")
     data = np.rint(np.clip(img, 0.0, 1.0) * 255.0).astype(np.uint8)
     h, w = data.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(data.tobytes())
+    write_file(path, f"P5\n{w} {h}\n255\n".encode("ascii") + data.tobytes())
 
 
 def write_ppm(path: str | Path, image: np.ndarray) -> None:
@@ -50,9 +67,7 @@ def write_ppm(path: str | Path, image: np.ndarray) -> None:
     if img.ndim != 3 or img.shape[2] != 3 or img.dtype != np.uint8:
         raise ValueError(f"expected (H, W, 3) uint8 image, got {img.shape} {img.dtype}")
     h, w, _ = img.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(img.tobytes())
+    write_file(path, f"P6\n{w} {h}\n255\n".encode("ascii") + img.tobytes())
 
 
 def _decode_pgm(raw: bytes, path: Path) -> np.ndarray:

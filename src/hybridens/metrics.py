@@ -30,11 +30,6 @@ class RocCurve:
     tpr: np.ndarray
 
 
-def threshold(p: float, tau: float = 0.5) -> int:
-    """Hard label 1 iff p > tau; ties at tau classify negative."""
-    return 1 if p > tau else 0
-
-
 def confusion(labels, predictions) -> ConfusionMatrix:
     labels = np.asarray(labels, dtype=np.int64)
     predictions = np.asarray(predictions, dtype=np.int64)

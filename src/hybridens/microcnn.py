@@ -20,6 +20,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .config import RunConfig
 from .data import LabeledSample
 from .errors import DataError, NumericError
+from .imageio import write_file
 from .weighting import mean_bce, sigmoid
 
 ADAM_BETA1 = 0.9
@@ -557,10 +558,7 @@ def save_checkpoint(net: MicroNet, path: str | Path) -> None:
     for i in net.parameterized():
         for name in sorted(net.layers[i].params):
             blocks.append(net.layers[i].params[name].astype("<f8").tobytes())
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(_header(net)).encode("utf-8"))
-        fh.write(b"\n")
-        fh.write(b"".join(blocks))
+    write_file(path, json.dumps(_header(net)).encode("utf-8") + b"\n" + b"".join(blocks))
 
 
 def load_checkpoint(path: str | Path) -> MicroNet:

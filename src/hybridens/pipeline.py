@@ -30,8 +30,8 @@ from .data import (
     save_predictions_csv,
     split_dataset,
 )
-from .errors import ConfigError, DataError, NumericError
-from .imageio import write_pgm, write_ppm
+from .errors import ConfigError, DataError, error_context
+from .imageio import write_file, write_pgm, write_ppm
 from .seeding import rng_for
 
 SPLIT_RATIOS = (0.6, 0.2, 0.2)
@@ -47,16 +47,6 @@ class RunReport:
     alpha: list[float]
     meta: dict
     files: dict
-
-
-@contextmanager
-def _stage(name: str):
-    try:
-        yield
-    except (ConfigError, DataError, NumericError) as exc:
-        raise type(exc)(f"stage {name}: {exc}") from exc
-    except Exception as exc:
-        raise RuntimeError(f"stage {name}: {exc}") from exc
 
 
 def _worker_count(jobs: int) -> int:
@@ -145,13 +135,13 @@ def render_table(rows: list[dict]) -> str:
 
 
 def _write_json(path: Path, doc: dict) -> None:
-    path.write_text(json.dumps(doc, indent=2) + "\n")
+    write_file(path, json.dumps(doc, indent=2) + "\n")
 
 
 def write_report(out_dir: Path, doc: dict) -> None:
     """`report.json` holds the whole document, `report.txt` its rows as a table."""
     _write_json(out_dir / "report.json", doc)
-    (out_dir / "report.txt").write_text(render_table(doc["rows"]))
+    write_file(out_dir / "report.txt", render_table(doc["rows"]))
 
 
 def write_rocs(out_dir: Path, curves: dict[str, metrics.RocCurve]) -> dict[str, str]:
@@ -159,7 +149,7 @@ def write_rocs(out_dir: Path, curves: dict[str, metrics.RocCurve]) -> dict[str, 
     files = {}
     for name, curve in curves.items():
         files[name] = f"roc_{name}.csv"
-        (out_dir / files[name]).write_text(metrics.roc_points_csv(curve))
+        write_file(out_dir / files[name], metrics.roc_points_csv(curve))
     return files
 
 
@@ -195,7 +185,6 @@ def train_bases(
     test = [samples[i] for i in split.test_ids]
     arch_ids = microcnn.architecture_ids(config.K)
     ckpt_dir = out_dir / "checkpoints"
-    ckpt_dir.mkdir(parents=True, exist_ok=True)
     nets: dict[str, microcnn.MicroNet] = {}
     val_preds = np.zeros((len(val), config.K))
     test_preds = np.zeros((len(test), config.K))
@@ -248,25 +237,14 @@ def _oof_factories(config: RunConfig) -> list:
     return [functools.partial(_CnnLearner, config, a) for a in microcnn.architecture_ids(config.K)]
 
 
-def _save_oof(path: Path, oof: stacking.OofTable, samples: list[LabeledSample]) -> None:
-    k = oof.matrix.shape[1]
-    lines = ["id,fold," + ",".join(f"p{i}" for i in range(1, k + 1)) + ",label"]
-    for row, sample_id in enumerate(oof.train_ids):
-        cells = [samples[sample_id].sample_id, str(int(oof.fold_of[row]))]
-        cells += [repr(float(v)) for v in oof.matrix[row]]
-        cells.append(str(int(oof.labels[row])))
-        lines.append(",".join(cells))
-    path.write_text("\n".join(lines) + "\n")
-
-
 def _model_scores(
     preds: np.ndarray, names: list[str], alpha: np.ndarray, meta: stacking.MetaLearner, rule: str
 ) -> dict[str, np.ndarray]:
     """Each base column under its name, then the three fused predictions."""
     scores = {name: preds[:, k] for k, name in enumerate(names)}
-    scores["weighted"] = preds @ alpha
-    scores["stacked"] = np.asarray(stacking.meta_predict(meta, preds))
-    scores["hybrid"] = np.asarray(stacking.hybrid_predict(alpha, meta, preds, rule))
+    scores["weighted"] = weighting.weighted_predict(alpha, preds)
+    scores["stacked"] = stacking.meta_predict(meta, preds)
+    scores["hybrid"] = stacking.hybrid_predict(scores["weighted"], scores["stacked"], rule)
     return scores
 
 
@@ -279,7 +257,7 @@ def _pick_explained(
         members = [(s, p) for s, p in zip(test, scores) if s.label == label]
         if not members:
             continue
-        correct = [s for s, p in members if metrics.threshold(p, tau) == label]
+        correct = [s for s, p in members if int(p > tau) == label]
         chosen[label] = correct[0] if correct else members[0][0]
     return chosen
 
@@ -292,25 +270,16 @@ def write_explanation(
     cam = gradcam.explain(net, image, class_id=class_id)
     write_ppm(out_dir / f"{stem}_overlay.ppm", gradcam.render_overlay(cam, image))
     write_pgm(out_dir / f"{stem}_cam.pgm", gradcam.normalize_cam(cam.map))
-    _write_json(
-        out_dir / f"{stem}.json",
-        {
-            "class_id": cam.class_id,
-            "source_layer": cam.source_layer,
-            "model": net.architecture_id,
-            **source,
-        },
-    )
+    doc = {"class_id": cam.class_id, "source_layer": cam.source_layer, "model": net.architecture_id}
+    _write_json(out_dir / f"{stem}.json", {**doc, **source})
     return [f"{stem}_overlay.ppm", f"{stem}_cam.pgm", f"{stem}.json"]
 
 
 def write_explanations(
-    net: microcnn.MicroNet,
-    chosen: dict[int, LabeledSample],
-    out_dir: Path,
+    net: microcnn.MicroNet, chosen: dict[int, LabeledSample], out_dir: Path
 ) -> list[str]:
+    """One `write_explanation` per chosen sample, under `out_dir/explanations`."""
     ex_dir = out_dir / "explanations"
-    ex_dir.mkdir(parents=True, exist_ok=True)
     written = []
     for label, sample in sorted(chosen.items()):
         stem = f"class{label}_{sample.sample_id.replace('/', '-')}"
@@ -332,9 +301,9 @@ def run_pipeline(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    with _stage("ingest"):
+    with error_context("stage ingest"):
         samples = load_image_dir(data_dir, config.input_side)
-    with _stage("split"):
+    with error_context("stage split"):
         split = split_dataset(samples, SPLIT_RATIOS, config.seed)
     val = [samples[i] for i in split.val_ids]
     test = [samples[i] for i in split.test_ids]
@@ -342,30 +311,31 @@ def run_pipeline(
     test_labels = np.array([s.label for s in test], dtype=np.int64)
 
     with job_map(config.K * config.folds) as pool_map:
-        with _stage("train-base"):
+        with error_context("stage train-base"):
             nets, val_preds, test_preds, _ = train_bases(config, samples, split, out, pool_map)
             arch_ids = list(nets)
 
-        with _stage("weights"):
+        with error_context("stage weights"):
             fit = weighting.optimize_weights(
                 val_preds, val_labels, config.weight_steps, config.weight_step_size
             )
             _write_json(out / "weights.json", fit.to_dict())
 
-        with _stage("oof"):
+        with error_context("stage oof"):
             folds = assign_folds(samples, split.train_ids, config.folds, config.seed)
             oof = stacking.oof_predictions(
                 samples, split.train_ids, folds, _oof_factories(config), pool_map
             )
-            _save_oof(out / "oof.csv", oof, samples)
+            oof_ids = [samples[i].sample_id for i in oof.train_ids]
+            save_predictions_csv(out / "oof.csv", oof.matrix, oof.labels, oof_ids, oof.fold_of)
 
-    with _stage("meta"):
+    with error_context("stage meta"):
         meta = stacking.train_meta(
             oof.matrix, oof.labels, config.meta_epochs, config.meta_lr, config.meta_l2
         )
         _write_json(out / "meta.json", meta.to_dict())
 
-    with _stage("evaluate"):
+    with error_context("stage evaluate"):
         rule = config.fusion_combine_rule
         model_scores = _model_scores(test_preds, arch_ids, fit.alpha, meta, rule)
         curves = roc_curves(test_labels, model_scores)
@@ -378,7 +348,7 @@ def run_pipeline(
             curves = roc_curves(oof.labels, oof_scores)
         roc_files = write_rocs(out, curves)
 
-    with _stage("explain"):
+    with error_context("stage explain"):
         if explain_model is None:
             val_aucs = {
                 arch: metrics.auc(metrics.roc_curve(val_labels, val_preds[:, k]))
@@ -391,7 +361,7 @@ def run_pipeline(
         chosen = _pick_explained(test, combined, config.threshold)
         explanation_files = write_explanations(nets[explain_model], chosen, out)
 
-    with _stage("report"):
+    with error_context("stage report"):
         report = RunReport(
             seed=config.seed,
             task=config.task_name,
@@ -427,7 +397,7 @@ def fuse_only(
     Rows are split per class with the run seed; weights and meta-learner are
     fit on the held-in rows and every model is scored on the remainder.
     """
-    matrix, labels, _ids = load_predictions_csv(preds_csv)
+    matrix, labels = load_predictions_csv(preds_csv)
     if matrix.shape[1] != config.K:
         raise ConfigError(f"config K={config.K} but CSV has {matrix.shape[1]} columns")
     if not 0.0 < holdin_fraction < 1.0:
@@ -468,7 +438,6 @@ def fuse_only(
     )
     if out_dir is not None:
         out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
         _write_json(out / "weights.json", fit.to_dict())
         _write_json(out / "meta.json", meta.to_dict())
         report.files = {

@@ -14,8 +14,8 @@ from typing import Callable, Protocol, Sequence
 import numpy as np
 
 from .data import FoldAssignment, LabeledSample
-from .errors import ConfigError, DataError, NumericError
-from .weighting import MAX_HALVINGS, mean_bce, sigmoid, weighted_predict
+from .errors import NumericError, error_context
+from .weighting import MAX_HALVINGS, mean_bce, sigmoid
 
 
 class BaseLearner(Protocol):
@@ -67,17 +67,12 @@ class MetaLearner:
 
 def _fit_predict(job: tuple) -> np.ndarray:
     """Fit learner k of one fold and predict that fold's holdout samples.
-    Failures carry the learner and fold ids; taxonomy errors keep their
-    type, anything else becomes a RuntimeError."""
+    Failures carry the learner and fold ids, as `error_context` words them."""
     factory, k, fold, fit_samples, holdout_samples = job
-    try:
+    with error_context(f"base learner {k} failed on fold {fold}"):
         learner = factory(fold)
         learner.fit(fit_samples)
         return np.asarray(learner.predict(holdout_samples), dtype=np.float64)
-    except (ConfigError, DataError, NumericError) as exc:
-        raise type(exc)(f"base learner {k} failed on fold {fold}: {exc}") from exc
-    except Exception as exc:
-        raise RuntimeError(f"base learner {k} failed on fold {fold}: {exc}") from exc
 
 
 def oof_predictions(
@@ -126,14 +121,12 @@ def oof_predictions(
     )
 
 
-def meta_predict(m: MetaLearner, p: np.ndarray) -> float | np.ndarray:
-    """sigmoid(w . p + b) for one feature row or an (N, K) matrix."""
+def meta_predict(m: MetaLearner, p: np.ndarray) -> np.ndarray:
+    """sigmoid(p w + b) for an (N, K) feature matrix."""
     p = np.asarray(p, dtype=np.float64)
     if p.shape[-1] != m.w.shape[0]:
         raise ValueError(f"dimension mismatch: w has {m.w.shape[0]}, p has {p.shape[-1]}")
-    z = p @ m.w + m.b
-    out = sigmoid(np.atleast_1d(z))
-    return float(out[0]) if np.ndim(z) == 0 else out
+    return sigmoid(p @ m.w + m.b)
 
 
 def _meta_loss(
@@ -190,17 +183,12 @@ def train_meta(
     return MetaLearner(w=w, b=b)
 
 
-def hybrid_predict(
-    alpha: np.ndarray,
-    m: MetaLearner,
-    p: np.ndarray,
-    rule: str = "mean",
-) -> float | np.ndarray:
+def hybrid_predict(weighted: np.ndarray, stacked: np.ndarray, rule: str = "mean") -> np.ndarray:
     """Combine the weighted-average and stacked predictions per the rule."""
     if rule == "mean":
-        return (weighted_predict(alpha, p) + meta_predict(m, p)) / 2.0
+        return (weighted + stacked) / 2.0
     if rule == "weighted_only":
-        return weighted_predict(alpha, p)
+        return weighted
     if rule == "stacked_only":
-        return meta_predict(m, p)
+        return stacked
     raise ValueError(f"unknown combine rule {rule!r} (want mean/weighted_only/stacked_only)")

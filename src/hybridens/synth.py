@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .imageio import write_pgm
+from .imageio import write_file, write_pgm
 from .seeding import rng_for
 
 BACKGROUND = 0.1
@@ -64,7 +64,6 @@ def synth_data(spec: SynthSpec, out_dir: str | Path) -> Path:
     rng = rng_for(spec.seed, "synth")
     truth: dict[str, dict] = {}
     for label, class_dir in ((0, "neg"), (1, "pos")):
-        (root / class_dir).mkdir(parents=True, exist_ok=True)
         amp = spec.blob_intensity_by_class[label]
         for subj in range(spec.subjects_per_class):
             subject = f"s{label}{subj:03d}"
@@ -95,7 +94,7 @@ def synth_data(spec: SynthSpec, out_dir: str | Path) -> Path:
         "seed": spec.seed,
         "subjects": truth,
     }
-    (root / "blobs.json").write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+    write_file(root / "blobs.json", json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
     return root
 
 

@@ -20,14 +20,13 @@ CONVERGENCE_TOL = 1e-10
 MAX_HALVINGS = 30
 
 
-def weighted_predict(alpha: np.ndarray, p: np.ndarray) -> float | np.ndarray:
-    """Convex combination alpha . p; accepts a single row or an (N, K) matrix."""
+def weighted_predict(alpha: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Convex combination p alpha of an (N, K) probability matrix."""
     alpha = np.asarray(alpha, dtype=np.float64)
     p = np.asarray(p, dtype=np.float64)
     if p.shape[-1] != alpha.shape[0]:
         raise ValueError(f"dimension mismatch: alpha has {alpha.shape[0]}, p has {p.shape[-1]}")
-    out = p @ alpha
-    return float(out) if out.ndim == 0 else out
+    return p @ alpha
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -185,16 +187,15 @@ def test_load_image_dir_ignores_root_files(tmp_path):
 def test_predictions_csv_shape(tmp_path):
     path = tmp_path / "p.csv"
     path.write_text("id,p1,p2,label\na,0.1,0.9,1\nb,0.4,0.6,0\nc,0.5,0.5,1\n")
-    matrix, labels, ids = load_predictions_csv(path)
+    matrix, labels = load_predictions_csv(path)
     assert matrix.shape == (3, 2)
     assert labels.tolist() == [1, 0, 1]
-    assert ids == ["a", "b", "c"]
 
 
 def test_predictions_csv_k_inferred_from_header(tmp_path):
     path = tmp_path / "p.csv"
     path.write_text("id,p1,p2,p3,label\na,0.1,0.2,0.3,0\n")
-    matrix, _, _ = load_predictions_csv(path)
+    matrix, _ = load_predictions_csv(path)
     assert matrix.shape == (1, 3)
 
 
@@ -214,16 +215,21 @@ def test_predictions_csv_rejections_name_the_line(tmp_path):
 def test_predictions_csv_streams_so_an_earlier_bad_row_is_named_first(tmp_path):
     """Rows are checked as they are read.  A malformed row is reported before
     a non-UTF-8 byte or an over-long field that the reader meets only later;
-    a bad byte inside the first decoded chunk is still reported first."""
+    a bad byte inside the first decoded chunk is still reported first, and an
+    over-long field in valid UTF-8 is reported as a CSV error, not an encoding one."""
     path = tmp_path / "p.csv"
     head = b"id,p1,p2,label\na,0.1,0.9,1\nb,0.3,0\n"
     filler = b"".join(b"r%05d,0.5,0.5,1\n" % i for i in range(1000))  # past one read chunk
-    for tail in (filler + b"c,0.\xff,0.1,1\n", b"c," + b"1" * 200_000 + b",0.1,1\n"):
+    long_field = b"c," + b"1" * 200_000 + b",0.1,1\n"
+    for tail in (filler + b"c,0.\xff,0.1,1\n", long_field):
         path.write_bytes(head + tail)
         with pytest.raises(DataError, match=r"p\.csv:3: expected 4 fields, got 3"):
             load_predictions_csv(path)
     path.write_bytes(head + b"c,0.\xff,0.1,1\n")
     with pytest.raises(DataError, match="not a UTF-8 CSV"):
+        load_predictions_csv(path)
+    path.write_bytes(b"id,p1,p2,label\n" + long_field)
+    with pytest.raises(DataError, match=r"p\.csv: malformed CSV: field larger than field limit"):
         load_predictions_csv(path)
 
 
@@ -232,11 +238,23 @@ def test_predictions_csv_round_trip(tmp_path):
     matrix = rng.random((6, 3))
     labels = rng.integers(0, 2, 6)
     path = tmp_path / "p.csv"
-    save_predictions_csv(path, matrix, labels, [f"r{i}" for i in range(6)])
-    back, back_labels, ids = load_predictions_csv(path)
+    ids = [f"r{i}" for i in range(5)] + ['a,"b']
+    save_predictions_csv(path, matrix, labels, ids)
+    back, back_labels = load_predictions_csv(path)
     assert np.array_equal(back, matrix)
     assert np.array_equal(back_labels, labels)
-    assert ids == [f"r{i}" for i in range(6)]
+    with open(path, newline="") as fh:
+        assert [row[0] for row in csv.reader(fh)] == ["id"] + ids
+    assert b"\r" not in path.read_bytes()
+
+
+def test_predictions_csv_fold_column_follows_the_id(tmp_path):
+    path = tmp_path / "oof.csv"
+    save_predictions_csv(path, np.array([[0.25, 0.5], [1.0, 1e-05]]), np.array([1, 0]),
+                         ["a", "b"], np.array([1, 0]))
+    assert path.read_text() == "id,fold,p1,p2,label\na,1,0.25,0.5,1\nb,0,1.0,1e-05,0\n"
+    with pytest.raises(ValueError, match="matching lengths"):
+        save_predictions_csv(path, np.zeros((2, 2)), np.zeros(2), ["a", "b"], np.zeros(3))
 
 
 CLEAN_CSV = (
@@ -256,8 +274,8 @@ def test_damaged_predictions_csv_parses_or_raises_data_error(tmp_path_factory, c
     path = tmp_path_factory.mktemp("fuzz") / "damaged.csv"
     path.write_bytes(bytes(raw))
     try:
-        matrix, labels, ids = load_predictions_csv(path)
+        matrix, labels = load_predictions_csv(path)
     except DataError:
         return
-    assert matrix.shape[0] == len(labels) == len(ids)
+    assert matrix.shape[0] == len(labels)
     assert np.all((matrix >= 0.0) & (matrix <= 1.0)) and set(labels.tolist()) <= {0, 1}

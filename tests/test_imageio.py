@@ -1,3 +1,4 @@
+import os
 import struct
 import zlib
 
@@ -7,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hybridens.errors import DataError
-from hybridens.imageio import bilinear_resize, read_image, write_pgm, write_ppm
+from hybridens.imageio import bilinear_resize, read_image, write_file, write_pgm, write_ppm
 
 
 def make_png(array: np.ndarray, filter_type: int = 0) -> bytes:
@@ -127,6 +128,34 @@ def test_ppm_writer_shape_and_header(tmp_path):
     raw = path.read_bytes()
     assert raw.startswith(b"P6\n3 2\n255\n")
     assert raw[len(b"P6\n3 2\n255\n") :] == img.tobytes()
+
+
+def test_write_file_encodes_text_and_makes_the_parent(tmp_path):
+    path = tmp_path / "a" / "b" / "note.txt"
+    write_file(path, "gr\u00fc\u00dfe\n")
+    assert path.read_bytes() == "gr\u00fc\u00dfe\n".encode("utf-8")
+    write_file(path, b"\x00\xff")
+    assert path.read_bytes() == b"\x00\xff"
+    assert os.listdir(path.parent) == ["note.txt"]
+
+
+def test_write_file_leaves_old_bytes_and_no_temporary_file_when_replace_fails(
+    tmp_path, monkeypatch
+):
+    old = tmp_path / "old.ckpt"
+    write_file(old, b"old bytes")
+
+    def fail(src, dst):
+        raise OSError("replace failed")
+
+    monkeypatch.setattr(os, "replace", fail)
+    for path in (old, tmp_path / "new" / "fresh.json"):
+        with pytest.raises(OSError, match="replace failed"):
+            write_file(path, b"new bytes" * 1000)
+    assert old.read_bytes() == b"old bytes"
+    assert sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*")) == [
+        "new", "old.ckpt"
+    ]
 
 
 def test_bilinear_matches_linear_ramp_oracle():

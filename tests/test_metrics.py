@@ -13,8 +13,8 @@ from hybridens.metrics import (
     confusion,
     roc_curve,
     roc_points_csv,
-    threshold,
 )
+from hybridens.pipeline import roc_curves, score_rows
 from oracle_utils import mw_auc
 
 
@@ -28,7 +28,10 @@ def points(curve):
     [(0.7, 0.5, 1), (0.5, 0.5, 0), (0.49, 0.3, 1), (0.3, 0.3, 0)],
 )
 def test_threshold_is_strict(p, tau, expected):
-    assert threshold(p, tau) == expected
+    # score_rows labels a score positive iff it exceeds tau: a tie is negative.
+    scores, labels = {"m": np.array([p, p])}, np.array([1, 0])
+    row = score_rows(scores, labels, tau, roc_curves(labels, scores))[0]
+    assert (row["sen"], row["spe"]) == (expected, 1 - expected)
 
 
 def test_confusion_direct_count():

@@ -1,3 +1,4 @@
+import csv
 import faulthandler
 import json
 import math
@@ -102,12 +103,56 @@ def test_oof_csv_matches_schema(tiny_run):
         assert all(0.0 <= float(c) <= 1.0 for c in cells[2:5])
 
 
+@pytest.fixture(scope="module")
+def quoted_run(tmp_path_factory):
+    """A small run on files whose ids hold a comma and a double quote, with
+    the target of every `os.replace` recorded."""
+    root = tmp_path_factory.mktemp("quoted")
+    data = synth_data(
+        SynthSpec(subjects_per_class=6, slices_per_subject=2, image_side=16, seed=21),
+        root / "data",
+    )
+    for image in sorted(data.glob("*/*.pgm")):
+        image.rename(image.with_name('a,"' + image.name))
+    replaced, original = [], os.replace
+
+    def recording_replace(src, dst):
+        replaced.append(Path(dst))
+        original(src, dst)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(os, "replace", recording_replace)
+        report = run_pipeline(RunConfig(seed=21, **TINY), data, root / "out")
+    return data, root / "out", report, replaced
+
+
+def test_prediction_csvs_quote_ids_with_commas_and_quotes(quoted_run):
+    data, out, report, _ = quoted_run
+    sample_ids = {s.sample_id for s in load_image_dir(data)}
+    assert all(',"' in sample_id for sample_id in sample_ids)
+    for name, rows in (("oof", report.counts["train"]), ("preds_val", report.counts["val"]),
+                       ("preds_test", report.counts["test"])):
+        with open(out / report.files[name], newline="") as fh:
+            header, *body = csv.reader(fh)
+        assert len(body) == rows, name
+        assert all(len(row) == len(header) for row in body), name
+        assert {row[0] for row in body} <= sample_ids and len({row[0] for row in body}) == rows
+
+
+def test_every_run_file_is_moved_into_place_by_os_replace(quoted_run):
+    _, out, _, replaced = quoted_run
+    written = [p for p in out.rglob("*") if p.is_file()]
+    assert len(written) == len(replaced) == len(set(replaced))
+    assert set(written) == set(replaced)
+    assert not [p for p in out.rglob("*") if p.name.endswith(".tmp")]
+
+
 def test_pipeline_fusion_matches_fuse_refit(tiny_run):
     # Refitting from the persisted prediction tables reproduces the run's
     # fusion parameters exactly: same matrix in, same weights out.
     _, out, report = tiny_run
     config = RunConfig(**report.config)
-    val_matrix, val_labels, _ = load_predictions_csv(out / "preds_val.csv")
+    val_matrix, val_labels = load_predictions_csv(out / "preds_val.csv")
     refit = optimize_weights(val_matrix, val_labels, config.weight_steps, config.weight_step_size)
     assert json.loads((out / "weights.json").read_text())["alpha"] == [
         float(a) for a in refit.alpha

@@ -16,6 +16,7 @@ from hybridens.stacking import (
     train_meta,
     _meta_loss,
 )
+from hybridens.weighting import weighted_predict
 from oracle_utils import fd_gradient, rel_error
 
 
@@ -135,17 +136,19 @@ def test_pool_raises_the_lowest_failing_job_and_cancels_the_rest(tmp_path, monke
 
 def test_meta_predict_zero_parameters_is_half():
     m = MetaLearner(w=np.zeros(3), b=0.0)
-    assert meta_predict(m, np.array([0.3, 0.9, 0.1])) == 0.5
+    assert meta_predict(m, np.array([[0.3, 0.9, 0.1], [1.0, 0.0, 0.5]])).tolist() == [0.5, 0.5]
 
 
 def test_meta_predict_saturates_in_weight_direction():
     m = MetaLearner(w=np.array([30.0, 0.0]), b=0.0)
-    assert meta_predict(m, np.array([1.0, 0.2])) > 0.99
+    assert meta_predict(m, np.array([[1.0, 0.2]]))[0] > 0.99
 
 
 def test_meta_predict_direct_evaluation():
     m = MetaLearner(w=np.array([1.0, 1.0]), b=-1.0)
-    assert meta_predict(m, np.array([0.5, 0.5])) == pytest.approx(0.5)
+    assert meta_predict(m, np.array([[0.5, 0.5], [1.0, 1.0]])) == pytest.approx(
+        [0.5, 1.0 / (1.0 + np.exp(-1.0))]
+    )
 
 
 def test_meta_gradient_matches_finite_differences():
@@ -194,31 +197,34 @@ def test_train_meta_intercept_only_matches_positive_rate():
     y = np.array([1, 1, 1, 0, 0, 0, 0, 0, 0, 0])
     feats = np.full((10, 1), 0.7)
     m = train_meta(feats, y, epochs=4000, lr=1.0, l2=0.0)
-    assert meta_predict(m, np.array([0.7])) == pytest.approx(0.3, abs=1e-3)
+    assert meta_predict(m, np.array([[0.7]]))[0] == pytest.approx(0.3, abs=1e-3)
+
+
+def fused(alpha, meta, p, rule):
+    """The hybrid prediction as `pipeline._model_scores` builds it."""
+    return hybrid_predict(weighted_predict(alpha, p), meta_predict(meta, p), rule)
 
 
 def test_hybrid_predict_rules():
     alpha = np.array([1.0, 0.0])
     meta = MetaLearner(w=np.array([0.0, 0.0]), b=np.log(0.6 / 0.4))
-    p = np.array([0.8, 0.3])
-    # weighted component = 0.8, stacked component = 0.6
-    assert hybrid_predict(alpha, meta, p, "mean") == pytest.approx(0.7)
-    assert hybrid_predict(alpha, meta, p, "weighted_only") == pytest.approx(0.8)
-    assert hybrid_predict(alpha, meta, p, "stacked_only") == pytest.approx(0.6)
+    p = np.array([[0.8, 0.3], [0.2, 0.9]])
+    # weighted components 0.8 and 0.2, stacked components 0.6 and 0.6
+    assert fused(alpha, meta, p, "mean") == pytest.approx([0.7, 0.4])
+    assert fused(alpha, meta, p, "weighted_only") == pytest.approx([0.8, 0.2])
+    assert fused(alpha, meta, p, "stacked_only") == pytest.approx([0.6, 0.6])
     with pytest.raises(ValueError, match="unknown combine rule"):
-        hybrid_predict(alpha, meta, p, "vote")
+        fused(alpha, meta, p, "vote")
 
 
 def test_hybrid_mean_is_symmetric_in_components():
     # Swap which side supplies 0.8 and which supplies 0.6; the mean agrees.
-    p = np.array([0.8, 0.3])
-    a = hybrid_predict(
-        np.array([1.0, 0.0]), MetaLearner(w=np.zeros(2), b=np.log(0.6 / 0.4)), p, "mean"
-    )
-    b = hybrid_predict(
+    p = np.array([[0.8, 0.3]])
+    a = fused(np.array([1.0, 0.0]), MetaLearner(w=np.zeros(2), b=np.log(0.6 / 0.4)), p, "mean")
+    b = fused(
         np.array([0.0, 1.0]),
         MetaLearner(w=np.zeros(2), b=np.log(0.8 / 0.2)),
-        np.array([0.6, 0.6]),
+        np.array([[0.6, 0.6]]),
         "mean",
     )
     assert a == pytest.approx(b)
@@ -227,7 +233,7 @@ def test_hybrid_mean_is_symmetric_in_components():
 def test_hybrid_idempotent_when_components_agree():
     alpha = np.array([1.0, 0.0])
     meta = MetaLearner(w=np.zeros(2), b=np.log(0.8 / 0.2))
-    assert hybrid_predict(alpha, meta, np.array([0.8, 0.1]), "mean") == pytest.approx(0.8)
+    assert fused(alpha, meta, np.array([[0.8, 0.1]]), "mean") == pytest.approx([0.8])
 
 
 def _recomputing_train_meta(feats, y, epochs, lr, l2):

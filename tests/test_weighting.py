@@ -19,20 +19,22 @@ from oracle_utils import fd_gradient, grid_simplex2_bce, rel_error
 
 def test_weighted_predict_one_hot_returns_component():
     alpha = np.array([0.0, 1.0, 0.0])
-    assert weighted_predict(alpha, np.array([0.2, 0.8, 0.5])) == 0.8
+    p = np.array([[0.2, 0.8, 0.5], [0.9, 0.1, 0.4]])
+    assert weighted_predict(alpha, p).tolist() == [0.8, 0.1]
 
 
 def test_weighted_predict_uniform_on_equal_inputs():
-    assert weighted_predict(np.full(4, 0.25), np.full(4, 0.37)) == pytest.approx(0.37)
+    assert weighted_predict(np.full(4, 0.25), np.full((3, 4), 0.37)) == pytest.approx([0.37] * 3)
 
 
 def test_weighted_predict_direct_arithmetic():
-    assert weighted_predict(np.array([0.6, 0.4]), np.array([0.5, 1.0])) == pytest.approx(0.7)
+    p = np.array([[0.5, 1.0], [1.0, 0.0]])
+    assert weighted_predict(np.array([0.6, 0.4]), p) == pytest.approx([0.7, 0.6])
 
 
 def test_weighted_predict_rejects_dimension_mismatch():
     with pytest.raises(ValueError):
-        weighted_predict(np.array([0.5, 0.5]), np.array([0.1, 0.2, 0.3]))
+        weighted_predict(np.array([0.5, 0.5]), np.array([[0.1, 0.2, 0.3]]))
 
 
 @settings(max_examples=50, deadline=None)
@@ -40,8 +42,8 @@ def test_weighted_predict_rejects_dimension_mismatch():
 def test_weighted_predict_stays_in_unit_interval(seed, k):
     rng = np.random.default_rng(seed)
     alpha = project_simplex(rng.normal(size=k))
-    p = rng.random(k)
-    assert 0.0 <= weighted_predict(alpha, p) <= 1.0
+    out = weighted_predict(alpha, rng.random((8, k)))
+    assert np.all((out >= 0.0) & (out <= 1.0))
 
 
 def test_bce_known_values():
