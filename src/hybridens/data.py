@@ -10,6 +10,8 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
+from itertools import chain, islice
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -195,64 +197,97 @@ def load_image_dir(path: str | Path, input_side: int | None = None) -> list[Labe
     return samples
 
 
-def load_predictions_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
-    """Parse a `id,p1,...,pK,label` CSV into (N, K) probabilities and labels.
+# Rows parsed per block; a block's values are checked as whole arrays.
+_CHUNK_ROWS = 4096
 
-    Returns (matrix, labels); ids are not read.  Every probability must lie
-    in [0, 1] and every label in {0, 1}; violations name the offending line.
+
+def load_predictions_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
+    """Parse an `id[,fold],p1,...,pK,label` CSV into (N, K) probabilities and labels.
+
+    Returns (matrix, labels); ids and folds are not read.  Every probability
+    must lie in [0, 1] and every label in {0, 1}; violations name the
+    offending line, and the earliest one is named first.
     """
     path = Path(path)
-    labels, probs = [], []  # probs holds K values per row, row-major
+    parts = []  # (values, labels) per block of rows: no list of every row
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            rows = csv.reader(fh)  # read row by row: no list of every row
+            rows = csv.reader(fh)
             header = next(rows, None)
             if header is None:
                 raise DataError(f"empty predictions CSV: {path}")
             header = [h.strip() for h in header]
-            if len(header) < 3 or header[0] != "id" or header[-1] != "label":
+            lead = 2 if header[1:2] == ["fold"] else 1  # columns before p1
+            if len(header) < lead + 2 or header[0] != "id" or header[-1] != "label":
                 raise DataError(f"{path}: header must be id,p1,...,pK,label, got {header}")
-            expected = [f"p{i}" for i in range(1, len(header) - 1)]
-            if header[1:-1] != expected:
+            expected = [f"p{i}" for i in range(1, len(header) - lead)]
+            if header[lead:-1] != expected:
                 raise DataError(
-                    f"{path}: probability columns must be {expected}, got {header[1:-1]}"
+                    f"{path}: probability columns must be {expected}, got {header[lead:-1]}"
                 )
             k = len(expected)
-            for lineno, row in enumerate(rows, start=2):
-                if not row:
-                    continue
-                if len(row) != k + 2:
-                    raise DataError(f"{path}:{lineno}: expected {k + 2} fields, got {len(row)}")
-                try:
-                    values = list(map(float, row[1:-1]))
-                except ValueError as exc:
-                    raise DataError(f"{path}:{lineno}: non-numeric probability") from exc
-                for v in values:
-                    if not 0.0 <= v <= 1.0:
-                        raise DataError(f"{path}:{lineno}: probability {v} outside [0, 1]")
-                label = row[-1].strip()
-                if label not in ("0", "1"):
-                    raise DataError(f"{path}:{lineno}: label must be 0 or 1, got {row[-1]!r}")
-                labels.append(label == "1")
-                probs += values
+            try:
+                while block := list(islice(rows, _CHUNK_ROWS)):
+                    parts.append(_parse_block(block, lead, k))
+            except (ValueError, csv.Error):  # somewhere in this block; name the earliest
+                _raise_first_error(path, lead, k)
     except OSError as exc:
         raise DataError(f"cannot read predictions CSV: {path}") from exc
-    except UnicodeDecodeError as exc:  # met mid-stream: an earlier bad row is reported first
+    except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not a UTF-8 CSV: {exc}") from exc
-    except csv.Error as exc:  # also mid-stream, e.g. a field over the reader's size limit
+    except csv.Error as exc:  # e.g. a field over the reader's size limit
         raise DataError(f"{path}: malformed CSV: {exc}") from exc
-    if not labels:
+    n = sum(len(y) for _, y in parts)
+    if not n:
         raise DataError(f"no data rows in predictions CSV: {path}")
-    matrix = np.array(probs, dtype=np.float64).reshape(len(labels), k)
-    return matrix, np.array(labels, dtype=np.int64)
+    matrix = np.concatenate([v for v, _ in parts]).reshape(n, k)
+    return matrix, np.concatenate([y for _, y in parts]).astype(np.int64)
+
+
+def _parse_block(block: list[list[str]], lead: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(values, labels) of a block of rows, blank ones skipped; ValueError if
+    any row breaks the schema."""
+    rows = list(filter(None, block))
+    labels = list(map(str.strip, map(itemgetter(-1), rows)))
+    if set(map(len, rows)) - {lead + k + 1} or set(labels) - {"0", "1"}:
+        raise ValueError("a row breaks the schema")
+    cells = chain.from_iterable(map(itemgetter(slice(lead, -1)), rows))
+    values = np.fromiter(map(float, cells), dtype=np.float64, count=len(rows) * k)
+    if not ((values >= 0.0) & (values <= 1.0)).all():  # NaN fails too
+        raise ValueError("a probability is outside [0, 1]")
+    return values, np.fromiter(map("1".__eq__, labels), dtype=bool, count=len(labels))
+
+
+def _raise_first_error(path: Path, lead: int, k: int) -> None:
+    """Re-read `path` row by row and raise for its first bad row, or let the
+    decoding or CSV error that comes before any bad row propagate."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = csv.reader(fh)
+        next(rows)
+        for lineno, row in enumerate(rows, start=2):
+            if not row:
+                continue
+            if len(row) != lead + k + 1:
+                raise DataError(f"{path}:{lineno}: expected {lead + k + 1} fields, got {len(row)}")
+            try:
+                values = list(map(float, row[lead:-1]))
+            except ValueError as exc:
+                raise DataError(f"{path}:{lineno}: non-numeric probability") from exc
+            for v in values:
+                if not 0.0 <= v <= 1.0:
+                    raise DataError(f"{path}:{lineno}: probability {v} outside [0, 1]")
+            label = row[-1].strip()
+            if label not in ("0", "1"):
+                raise DataError(f"{path}:{lineno}: label must be 0 or 1, got {row[-1]!r}")
+    raise DataError(f"{path}: changed while being read")
 
 
 def save_predictions_csv(
     path: str | Path, matrix: np.ndarray, labels: np.ndarray, ids: list[str],
     folds: np.ndarray | None = None,
 ) -> None:
-    """Write the `id,p1,...,pK,label` schema read by :func:`load_predictions_csv`,
-    with a `fold` column after `id` when `folds` is given.  Lines end in LF;
+    """Write the `id[,fold],p1,...,pK,label` schema read by :func:`load_predictions_csv`,
+    with the `fold` column when `folds` is given.  Lines end in LF;
     fields are quoted as RFC 4180 asks, only where they need it."""
     matrix = np.asarray(matrix, dtype=np.float64)
     n, k = matrix.shape

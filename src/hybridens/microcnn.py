@@ -366,13 +366,34 @@ def _infer(layers: list, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def predict_proba(net: MicroNet, samples: list[LabeledSample], batch_size: int = 64) -> np.ndarray:
-    """Inference-mode probabilities, batched."""
+def predict_proba(
+    net: MicroNet, samples: list[LabeledSample] | np.ndarray, batch_size: int = 64, start: int = 0
+) -> np.ndarray:
+    """Inference-mode probabilities, batched.
+
+    `samples` are labeled samples, or an array of the inputs to layer
+    `start`, one per image, as `_prefix_outputs` stores them.
+    """
     out = np.empty(len(samples))
-    for start in range(0, len(samples), batch_size):
-        chunk = samples[start : start + batch_size]
-        out[start : start + len(chunk)] = _infer(net.layers, batch_tensor(chunk))
+    for i in range(0, len(samples), batch_size):
+        chunk = samples[i : i + batch_size]
+        x = chunk if isinstance(chunk, np.ndarray) else batch_tensor(chunk)
+        out[i : i + len(chunk)] = _infer(net.layers[start:], x)
     return out
+
+
+def _prefix_outputs(
+    net: MicroNet, samples: list[LabeledSample], stop: int, batch_size: int
+) -> np.ndarray:
+    """The outputs of layers below `stop` for every sample, computed in the
+    batches `predict_proba` uses, so that what runs on them matches it bit for bit."""
+    feats = None
+    for start in range(0, len(samples), batch_size):
+        x = _infer(net.layers[:stop], batch_tensor(samples[start : start + batch_size]))
+        if feats is None:
+            feats = np.empty((len(samples), *x.shape[1:]))
+        feats[start : start + len(x)] = x
+    return feats
 
 
 def _run_epochs(
@@ -387,16 +408,13 @@ def _run_epochs(
     history: list[dict],
 ) -> None:
     labels = np.array([s.label for s in train], dtype=np.int64)
+    val_y = np.array([s.label for s in val], dtype=np.int64)
     # Layers below `stop` are frozen and draw no random numbers, so they give
     # each image the same output in every epoch: run them once, here.
     dropouts = [i for i, layer in enumerate(net.layers) if layer.kind == "dropout"]
     stop = min([_lowest_trainable(net), *dropouts])
-    feats = None
-    for start in range(0, len(train), batch_size):
-        x = _infer(net.layers[:stop], batch_tensor(train[start : start + batch_size]))
-        if feats is None:
-            feats = np.empty((len(train), *x.shape[1:]))
-        feats[start : start + len(x)] = x
+    feats = _prefix_outputs(net, train, stop, batch_size)
+    val_feats = _prefix_outputs(net, val, stop, batch_size) if val else None
     for epoch in range(epochs):
         order = rng.permutation(len(train))
         losses = []
@@ -409,8 +427,7 @@ def _run_epochs(
             adam_step(net, grads, lr)
         record = {"phase": phase, "epoch": epoch, "train_loss": float(np.mean(losses))}
         if val:
-            val_y = np.array([s.label for s in val], dtype=np.int64)
-            record["val_loss"] = mean_bce(predict_proba(net, val, batch_size), val_y)
+            record["val_loss"] = mean_bce(predict_proba(net, val_feats, batch_size, stop), val_y)
         history.append(record)
 
 
@@ -434,8 +451,9 @@ def train_two_phase(
 
     Frozen backbone parameters are bit-identical across phase 1; phase 2
     touches only the configured unfrozen suffix plus the head.  Each phase
-    runs its frozen, dropout-free prefix of layers over the training set
-    once, and every batch of every epoch starts from that stored output.
+    runs its frozen, dropout-free prefix of layers over the training and
+    validation sets once, and every batch of every epoch, and every epoch's
+    validation score, starts from that stored output.
     """
     if not train:
         raise DataError("training set is empty")

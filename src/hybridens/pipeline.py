@@ -145,11 +145,14 @@ def write_report(out_dir: Path, doc: dict) -> None:
 
 
 def write_rocs(out_dir: Path, curves: dict[str, metrics.RocCurve]) -> dict[str, str]:
-    """One `roc_<model>.csv` per curve; returns model -> file name."""
-    files = {}
+    """One `roc_<model>.csv` per curve; returns model -> file name.
+
+    The curves share one table of formatted fractions: curves of the same
+    labels reach mostly the same counts, so each is formatted once."""
+    files, texts = {}, {}
     for name, curve in curves.items():
         files[name] = f"roc_{name}.csv"
-        write_file(out_dir / files[name], metrics.roc_points_csv(curve))
+        write_file(out_dir / files[name], metrics.roc_points_csv(curve, texts))
     return files
 
 

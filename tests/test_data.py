@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hybridens import data
 from hybridens.data import (
     LabeledSample,
     assign_folds,
@@ -231,6 +232,66 @@ def test_predictions_csv_streams_so_an_earlier_bad_row_is_named_first(tmp_path):
     path.write_bytes(b"id,p1,p2,label\n" + long_field)
     with pytest.raises(DataError, match=r"p\.csv: malformed CSV: field larger than field limit"):
         load_predictions_csv(path)
+
+
+CHUNK = data._CHUNK_ROWS
+
+
+def good_rows(n):
+    return b"".join(b"r%05d,0.5,0.25,%d\n" % (i, i % 2) for i in range(n))
+
+
+@pytest.mark.parametrize("body, message", [
+    # the first row of the second block
+    (good_rows(CHUNK) + b"b,1.5,0.25,1\n", rf":{CHUNK + 2}: probability 1.5 outside \[0, 1\]"),
+    # blank lines count as lines, also where they straddle a block boundary
+    (good_rows(CHUNK - 2) + b"\n" * 4 + b"b,0.5,x,1\n", rf":{CHUNK + 4}: non-numeric probability"),
+    # an earlier bad row, then a bad byte or an over-long field in the same block
+    (good_rows(CHUNK) + b"b,0.3,0\n" + good_rows(1000) + b"c,0.\xff,0.1,1\n",
+     rf":{CHUNK + 2}: expected 4 fields, got 3"),
+    (good_rows(CHUNK) + b"b,0.3,0\n" + b"c," + b"1" * 200_000 + b",0.1,1\n",
+     rf":{CHUNK + 2}: expected 4 fields, got 3"),
+    (good_rows(CHUNK + 5) + b"b,0.5,0.5,01\n", rf":{CHUNK + 7}: label must be 0 or 1, got '01'"),
+], ids=["second-block", "blank-lines", "then-bad-byte", "then-long-field", "label"])
+def test_predictions_csv_names_the_earliest_bad_line_across_blocks(tmp_path, body, message):
+    path = tmp_path / "p.csv"
+    path.write_bytes(b"id,p1,p2,label\n" + body)
+    with pytest.raises(DataError, match=r"p\.csv" + message):
+        load_predictions_csv(path)
+
+
+def test_predictions_csv_that_changes_between_reads_is_a_data_error(tmp_path, monkeypatch):
+    """A block that failed its checks but whose rows all pass on the second,
+    row-by-row read means the file changed in between; that is still a DataError."""
+    path = tmp_path / "p.csv"
+    path.write_bytes(b"id,p1,p2,label\n" + good_rows(3))
+    monkeypatch.setattr(data, "_parse_block", lambda *args: float("x"))
+    with pytest.raises(DataError, match=r"p\.csv: changed while being read"):
+        load_predictions_csv(path)
+
+
+def test_predictions_csv_blocks_join_in_order(tmp_path):
+    path = tmp_path / "p.csv"
+    path.write_bytes(b"id,p1,p2,label\n" + good_rows(CHUNK - 2) + b"\n" * 4 + good_rows(CHUNK))
+    matrix, labels = load_predictions_csv(path)
+    assert matrix.shape == (2 * CHUNK - 2, 2) and np.all(matrix == [0.5, 0.25])
+    assert labels.tolist() == [i % 2 for i in range(CHUNK - 2)] + [i % 2 for i in range(CHUNK)]
+
+
+def test_predictions_csv_reads_past_a_fold_column(tmp_path):
+    plain, folded = tmp_path / "plain.csv", tmp_path / "folded.csv"
+    matrix, labels = np.array([[0.25, 0.5], [1.0, 1e-05]]), np.array([1, 0])
+    save_predictions_csv(plain, matrix, labels, ["a", "b"])
+    save_predictions_csv(folded, matrix, labels, ["a", "b"], np.array([1, 0]))
+    for path in (plain, folded):
+        back, back_labels = load_predictions_csv(path)
+        assert np.array_equal(back, matrix) and np.array_equal(back_labels, labels)
+    folded.write_text("id,fold,p1,p2,label\na,0,0.1,0.9,1\nb,1,0.3,0.2\n")
+    with pytest.raises(DataError, match=r"folded\.csv:3: expected 5 fields, got 4"):
+        load_predictions_csv(folded)
+    folded.write_text("id,fold,label\na,0,1\n")
+    with pytest.raises(DataError, match="header must be"):
+        load_predictions_csv(folded)
 
 
 def test_predictions_csv_round_trip(tmp_path):

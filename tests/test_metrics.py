@@ -150,6 +150,11 @@ def test_roc_rejects_single_class():
         roc_curve([1, 1, 1], [0.1, 0.2, 0.3])
 
 
+def test_roc_rejects_labels_other_than_0_and_1():
+    with pytest.raises(DataError, match="must be 0 or 1"):
+        roc_curve([0, 1, 2], [0.1, 0.2, 0.3])
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_roc_rejects_non_finite_scores(bad):
     with pytest.raises(DataError, match="finite"):

@@ -470,11 +470,13 @@ def test_training_is_bit_deterministic():
     assert run() == run()
 
 
-def reference_two_phase(net, train, config, rng):
+def reference_two_phase(net, train, val, config, rng):
     """The training loop with no stored prefix: every batch runs the whole
-    stack from its images, with the same rng draws as train_two_phase."""
+    stack from its images, with the same rng draws as train_two_phase, and
+    each epoch scores `val` through `predict_proba`."""
     labels = np.array([s.label for s in train], dtype=np.int64)
-    losses = []
+    val_y = np.array([s.label for s in val], dtype=np.int64)
+    losses, val_losses = [], []
     for unfreeze_top, epochs, lr in (
         (0, config.freeze_epochs, config.head_learning_rate),
         (config.unfreeze_top, config.finetune_epochs, config.learning_rate),
@@ -490,7 +492,8 @@ def reference_two_phase(net, train, config, rng):
                 epoch_losses.append(mean_bce(probs, labels[take]))
                 adam_step(net, backward(net, cache, labels[take]), lr)
             losses.append(float(np.mean(epoch_losses)))
-    return net, losses
+            val_losses.append(mean_bce(predict_proba(net, val, config.batch_size), val_y))
+    return net, losses, val_losses
 
 
 @pytest.mark.parametrize("arch", microcnn.BASE_ARCHITECTURES)
@@ -508,9 +511,12 @@ def test_training_matches_a_full_forward_loop_bit_for_bit(arch, unfreeze_top, fr
     def fresh():
         return build_micronet(arch, 16, 0.25, np.random.default_rng(41))
 
-    net, history = train_two_phase(fresh(), samples, [], config, np.random.default_rng(42))
-    ref, ref_losses = reference_two_phase(fresh(), samples, config, np.random.default_rng(42))
+    val = make_blob_samples(np.random.default_rng(46), 5, side=16)  # batches of 4 and 1
+    net, history = train_two_phase(fresh(), samples, val, config, np.random.default_rng(42))
+    ref, ref_losses, ref_val = reference_two_phase(fresh(), samples, val, config,
+                                                   np.random.default_rng(42))
     assert [h["train_loss"] for h in history] == ref_losses
+    assert np.array([h["val_loss"] for h in history]).tobytes() == np.array(ref_val).tobytes()
     assert param_digest(net) == param_digest(ref)
     assert net.version == ref.version == (freeze_epochs + 2) * 3
 
@@ -526,10 +532,11 @@ def test_frozen_prefix_runs_once_per_training_phase():
 
         net.layers[i].forward = counting
     samples = make_blob_samples(np.random.default_rng(44), 10)
+    val = make_blob_samples(np.random.default_rng(47), 5)
     epochs, batch_size = 3, 4
-    microcnn._run_epochs(net, samples, [], epochs, 1e-2, batch_size,
+    microcnn._run_epochs(net, samples, val, epochs, 1e-2, batch_size,
                          np.random.default_rng(45), "freeze", [])
-    batches = -(-len(samples) // batch_size)
+    batches = -(-len(samples) // batch_size) + -(-len(val) // batch_size)
     assert calls == {0: batches, net.head_start: epochs * batches}
 
 

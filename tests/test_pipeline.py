@@ -178,9 +178,7 @@ def test_roc_from_folds_pools_oof_predictions(tiny_run, tmp_path):
     config = RunConfig(**report.config)
     out = tmp_path / "pooled"
     pooled = run_pipeline(config, data, out, roc_from_folds=True)
-    lines = (out / "oof.csv").read_text().strip().splitlines()[1:]
-    matrix = np.array([[float(v) for v in line.split(",")[2:5]] for line in lines])
-    labels = np.array([int(line.split(",")[-1]) for line in lines])
+    matrix, labels = load_predictions_csv(out / "oof.csv")
     alpha = np.array(json.loads((out / "weights.json").read_text())["alpha"])
     meta = MetaLearner(**{k: np.array(v) if k == "w" else v
                           for k, v in json.loads((out / "meta.json").read_text()).items()})
@@ -190,6 +188,43 @@ def test_roc_from_folds_pools_oof_predictions(tiny_run, tmp_path):
     for name, scores in oof_scores.items():
         expected = roc_points_csv(roc_curve(labels, scores))
         assert (out / pooled.files["roc"][name]).read_text() == expected, name
+
+
+def test_evaluate_and_fuse_read_a_runs_oof_csv(tiny_run, tmp_path):
+    """oof.csv has a fold column after the id, which both commands read past."""
+    _, out, _ = tiny_run
+    oof = out / "oof.csv"
+    assert oof.read_text().startswith("id,fold,p1,p2,p3,label\n")
+    assert cli.main(["evaluate", "--preds", str(oof), "--out", str(tmp_path / "ev")]) == 0
+    assert cli.main(["fuse", "--preds", str(oof), "--out", str(tmp_path / "fused")]) == 0
+    assert len(list((tmp_path / "fused").glob("roc_*.csv"))) == 6
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_write_rocs_writes_each_curve_as_if_alone(tmp_path_factory, seed):
+    """`write_rocs` formats each fraction once for all its curves, yet every
+    file is the curve's text formatted alone.  Curves of a second label set
+    go through the same call, so a table that mixed denominators would show."""
+    from hybridens import metrics
+
+    rng = np.random.default_rng(seed)
+    curves = {}
+    for set_id in range(2):
+        n = int(rng.integers(2, 150))
+        labels = rng.integers(0, 2, n)
+        labels[rng.permutation(n)[:2]] = (0, 1)
+        for kind, scores in (
+            ("tied", np.round(rng.random(n), 1)),
+            ("few", rng.choice(rng.standard_normal(3), n)),
+            ("signed_zeros", rng.choice([0.0, -0.0, 0.25, -0.25], n)),
+            ("normal", rng.standard_normal(n)),
+        ):
+            curves[f"{kind}{set_id}"] = metrics.roc_curve(labels, scores)
+    out = tmp_path_factory.mktemp("rocs")
+    files = pipeline.write_rocs(out, curves)
+    for name, curve in curves.items():
+        assert (out / files[name]).read_text() == metrics.roc_points_csv(curve), name
 
 
 def test_each_model_curve_is_built_once(tmp_path, monkeypatch):
