@@ -57,9 +57,7 @@ class RunConfig:
     unfreeze_top: int = 1
     weight_steps: int = 500
     weight_step_size: float = 0.5
-    meta_epochs: int = 400
-    meta_lr: float = 0.5
-    meta_l2: float = 0.0
+    meta_ridge: float = 1.0
     eval_level: str = "slice"
     task_name: str = "AD_vs_MCI"
 
@@ -94,12 +92,12 @@ class RunConfig:
             )
         if self.unfreeze_top < 0:
             raise ConfigError("unfreeze_top must be nonnegative")
-        if self.weight_steps < 0 or self.meta_epochs < 0:
-            raise ConfigError("optimizer step budgets must be nonnegative")
-        if self.weight_step_size <= 0 or self.meta_lr <= 0:
-            raise ConfigError("optimizer step sizes must be positive")
-        if self.meta_l2 < 0:
-            raise ConfigError("meta_l2 must be nonnegative")
+        if self.weight_steps < 0:
+            raise ConfigError("weight_steps must be nonnegative")
+        if self.weight_step_size <= 0:
+            raise ConfigError("weight_step_size must be positive")
+        if self.meta_ridge < 0:
+            raise ConfigError(f"meta_ridge must be nonnegative, got {self.meta_ridge}")
         if self.eval_level not in EVAL_LEVELS:
             raise ConfigError(f"eval_level must be one of {EVAL_LEVELS}, got {self.eval_level!r}")
 

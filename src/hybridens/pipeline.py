@@ -333,9 +333,7 @@ def run_pipeline(
             save_predictions_csv(out / "oof.csv", oof.matrix, oof.labels, oof_ids, oof.fold_of)
 
     with error_context("stage meta"):
-        meta = stacking.train_meta(
-            oof.matrix, oof.labels, config.meta_epochs, config.meta_lr, config.meta_l2
-        )
+        meta = stacking.train_meta(oof.matrix, oof.labels, config.meta_ridge)
         _write_json(out / "meta.json", meta.to_dict())
 
     with error_context("stage evaluate"):
@@ -421,9 +419,7 @@ def fuse_only(
     fit = weighting.optimize_weights(
         fit_matrix, fit_labels, config.weight_steps, config.weight_step_size
     )
-    meta = stacking.train_meta(
-        fit_matrix, fit_labels, config.meta_epochs, config.meta_lr, config.meta_l2
-    )
+    meta = stacking.train_meta(fit_matrix, fit_labels, config.meta_ridge)
     eval_matrix, eval_labels = matrix[eval_rows], labels[eval_rows]
     names = [f"p{k + 1}" for k in range(matrix.shape[1])]
     model_scores = _model_scores(eval_matrix, names, fit.alpha, meta, config.fusion_combine_rule)

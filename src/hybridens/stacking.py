@@ -15,7 +15,10 @@ import numpy as np
 
 from .data import FoldAssignment, LabeledSample
 from .errors import NumericError, error_context
-from .weighting import MAX_HALVINGS, mean_bce, sigmoid
+from .weighting import MAX_HALVINGS, sigmoid
+
+GRAD_TOL = 1e-10
+MAX_NEWTON_STEPS = 50
 
 
 class BaseLearner(Protocol):
@@ -129,53 +132,79 @@ def meta_predict(m: MetaLearner, p: np.ndarray) -> np.ndarray:
     return sigmoid(p @ m.w + m.b)
 
 
-def _meta_loss(
-    w: np.ndarray, b: float, feats: np.ndarray, y: np.ndarray, l2: float
-) -> tuple[float, np.ndarray]:
-    """Mean BCE + (l2/2)||w||^2 at (w, b), and the p = sigmoid(feats w + b) it scored."""
-    p = sigmoid(feats @ w + b)
-    return mean_bce(p, y) + 0.5 * l2 * float(w @ w), p
-
-
 def meta_gradient(
     p: np.ndarray, w: np.ndarray, feats: np.ndarray, y: np.ndarray, l2: float
 ) -> tuple[np.ndarray, float]:
-    """Analytic gradient in (w, b) of the objective `_meta_loss` scored as p."""
+    """Gradient in (w, b) of mean BCE + (l2/2)||w||^2, where p = sigmoid(feats w + b)."""
     r = p - y
     n = len(y)
     return feats.T @ r / n + l2 * w, float(np.sum(r) / n)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing trial step is just rejected
 def train_meta(
     oof_matrix: np.ndarray,
     labels: np.ndarray,
-    epochs: int = 400,
-    lr: float = 0.5,
-    l2: float = 0.0,
+    ridge: float = 1.0,
 ) -> MetaLearner:
-    """Full-batch gradient descent on ridge-regularized BCE from (w, b) = 0.
+    """Ridge-regularised logistic regression, fitted to its optimum by Newton's method.
 
-    A step that would increase the objective is retried at half the rate, so
-    the final loss never exceeds the initial one.  The accepted step's
-    probabilities feed the next gradient.
+    Minimises mean BCE + (ridge / 2N)||w||^2 over N rows, with the intercept b
+    unpenalised; ridge 1 is scikit-learn's default strength (C = 1).  From
+    (w, b) = 0, each step solves the (K+1)-square Newton system (IRLS) by
+    least squares, so a singular system (collinear columns at ridge 0) gets
+    its minimum-norm step; if that solve fails, the step is the gradient.  A
+    step that would raise the objective is retried at half the length, so
+    the objective never rises.  The fit stops once every gradient entry is
+    at most GRAD_TOL, after MAX_NEWTON_STEPS steps, or when no halving
+    lowers the objective.  A non-finite gradient or Hessian raises NumericError.
+
+    The halving guard weighs each step by its exact change in the objective,
+    row by row: fold row i onto the side where its logit z is non-positive
+    (m = sigmoid(-|z|), and the label and step flip with the side), and a
+    move of v in the folded logit changes its BCE by log1p(m expm1(v)) - y v.
+    This stays accurate to rounding however small the step, where the
+    difference of two whole losses would drown in their rounding close to
+    the optimum.
     """
     feats = np.asarray(oof_matrix, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
     if feats.ndim != 2 or feats.shape[0] != y.shape[0]:
         raise ValueError(f"OOF matrix {feats.shape} does not match {y.shape[0]} labels")
-    w = np.zeros(feats.shape[1])
-    b = 0.0
-    loss, p = _meta_loss(w, b, feats, y, l2)
-    for epoch in range(epochs):
-        gw, gb = meta_gradient(p, w, feats, y, l2)
-        if not (np.all(np.isfinite(gw)) and np.isfinite(gb) and np.isfinite(loss)):
-            raise NumericError(f"non-finite meta-learner loss or gradient at epoch {epoch}")
-        rate = lr
+    n, k = feats.shape
+    l2 = ridge / max(n, 1)  # zero rows give a NaN gradient, so a NumericError
+    w, b = np.zeros(k), 0.0
+    z = np.zeros(n)
+    for step in range(MAX_NEWTON_STEPS):
+        small = sigmoid(-np.abs(z))  # min(p, 1 - p) at full precision
+        flip = z > 0
+        gw, gb = meta_gradient(np.where(flip, 1.0 - small, small), w, feats, y, l2)
+        grad = np.append(gw, gb)
+        if np.max(np.abs(grad)) <= GRAD_TOL:
+            break
+        s = small * (1.0 - small)
+        sx = s[:, None] * feats  # the step's one (N, K) temporary
+        hess = np.empty((k + 1, k + 1))
+        hess[:k, :k] = feats.T @ sx / n + l2 * np.eye(k)
+        hess[:k, k] = hess[k, :k] = s @ feats / n
+        hess[k, k] = s.sum() / n
+        if not (np.all(np.isfinite(grad)) and np.all(np.isfinite(hess))):
+            raise NumericError(f"non-finite meta-learner gradient or Hessian at step {step}")
+        try:  # least squares: a singular system gets its minimum-norm step
+            d = np.linalg.lstsq(hess, grad, rcond=None)[0]
+        except np.linalg.LinAlgError:
+            d = grad
+        dz = feats @ d[:k] + d[k]
+        c = np.where(flip, dz, -dz)  # the folded logit moves by rate * c
+        y_folded = np.where(flip, 1.0 - y, y)
+        dw2, wdw = float(d[:k] @ d[:k]), float(w @ d[:k])
+        rate = 1.0
         for _ in range(MAX_HALVINGS):
-            wt, bt = w - rate * gw, b - rate * gb
-            lt, pt = _meta_loss(wt, bt, feats, y, l2)
-            if lt <= loss:
-                w, b, loss, p = wt, bt, lt, pt
+            v = rate * c
+            change = np.mean(np.log1p(small * np.expm1(v)) - y_folded * v)
+            if change + l2 * rate * (0.5 * rate * dw2 - wdw) <= 0.0:
+                w, b = w - rate * d[:k], b - rate * float(d[k])
+                z = feats @ w + b
                 break
             rate *= 0.5
         else:  # no halving lowered the objective

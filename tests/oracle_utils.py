@@ -55,3 +55,15 @@ def grid_simplex2_bce(preds: np.ndarray, labels: np.ndarray, step: float = 1e-3)
         if loss < best_loss:
             best_loss, best_a = loss, a1
     return best_loss, best_a
+
+
+def logistic_objective(w, b, feats, y, l2: float) -> float:
+    """Mean BCE of sigmoid(feats w + b) plus (l2/2)||w||^2, through logaddexp."""
+    z = feats @ w + b
+    return float(np.mean(np.logaddexp(0.0, z) - y * z) + 0.5 * l2 * float(w @ w))
+
+
+def logistic_objective_gradient(w, b, feats, y, l2: float) -> np.ndarray:
+    """Gradient of `logistic_objective` as one vector: the w entries, then b."""
+    r = np.exp(-np.logaddexp(0.0, -(feats @ w + b))) - y
+    return np.append(feats.T @ r / len(y) + l2 * w, np.mean(r))

@@ -13,7 +13,13 @@ import pytest
 
 from hybridens import gradcam, microcnn
 from hybridens.config import RunConfig
-from hybridens.data import FoldAssignment, LabeledSample, load_image_dir, split_dataset
+from hybridens.data import (
+    FoldAssignment,
+    LabeledSample,
+    load_image_dir,
+    load_predictions_csv,
+    split_dataset,
+)
 from hybridens.metrics import auc, roc_curve
 from hybridens.microcnn import (
     Conv2d,
@@ -29,14 +35,21 @@ from hybridens.microcnn import (
 )
 from hybridens.pipeline import run_pipeline
 from hybridens.seeding import rng_for
-from hybridens.stacking import _meta_loss, meta_gradient, oof_predictions
+from hybridens.stacking import meta_gradient, oof_predictions, train_meta
 from hybridens.synth import SynthSpec, synth_data
 from hybridens.weighting import (
     bce_gradient,
     mean_bce,
     optimize_weights,
 )
-from oracle_utils import fd_gradient, grid_simplex2_bce, mw_auc, rel_error
+from oracle_utils import (
+    fd_gradient,
+    grid_simplex2_bce,
+    logistic_objective,
+    logistic_objective_gradient,
+    mw_auc,
+    rel_error,
+)
 
 DESK_CONFIG = dict(
     input_side=32, batch_size=24, dropout_rate=0.25, folds=5, freeze_epochs=10,
@@ -189,10 +202,11 @@ def test_c3_meta_and_weight_gradient_oracles():
         w = rng.normal(size=3)
         b = float(rng.normal())
         l2 = float(rng.random())
-        gw, gb = meta_gradient(_meta_loss(w, b, feats, y, l2)[1], w, feats, y, l2)
-        fw = fd_gradient(lambda t: _meta_loss(t, b, feats, y, l2)[0], w, h_scale=1e-6)
+        p = 1.0 / (1.0 + np.exp(-(feats @ w + b)))
+        gw, gb = meta_gradient(p, w, feats, y, l2)
+        fw = fd_gradient(lambda t: logistic_objective(t, b, feats, y, l2), w, h_scale=1e-6)
         fb = fd_gradient(
-            lambda t: _meta_loss(w, float(t[0]), feats, y, l2)[0], np.array([b]), h_scale=1e-6
+            lambda t: logistic_objective(w, float(t[0]), feats, y, l2), np.array([b]), h_scale=1e-6
         )[0]
         worst_meta = max(worst_meta, rel_error(np.append(gw, gb), np.append(fw, fb)))
 
@@ -367,24 +381,65 @@ def test_c8_gradcam_correctness_and_localization(tmp_path):
     _pass("C8 gradcam", f"hand cases exact; localization {hits}/{total} = {rate:.0%}")
 
 
-def test_c9_determinism_of_full_pipeline(tmp_path):
-    data = tmp_path / "data"
+C9_FILES = ("report.json", "weights.json", "oof.csv", "meta.json",
+            "roc_stacked.csv", "roc_hybrid.csv")
+
+
+def _c9_run(data, out):
+    config = RunConfig(seed=44, **{**DESK_CONFIG, "folds": 3, "input_side": 24,
+                                   "freeze_epochs": 4, "finetune_epochs": 4})
+    run_pipeline(config, data, out)
+    return config
+
+
+@pytest.fixture(scope="module")
+def c9_first_run(tmp_path_factory):
+    root = tmp_path_factory.mktemp("c9")
+    data = root / "data"
     synth_data(
         SynthSpec(subjects_per_class=8, slices_per_subject=2, image_side=24, seed=44),
         data,
     )
+    config = _c9_run(data, root / "run1")
+    return data, root / "run1", config
 
-    def one_run(out):
-        config = RunConfig(seed=44, **{**DESK_CONFIG, "folds": 3, "input_side": 24,
-                                       "freeze_epochs": 4, "finetune_epochs": 4})
-        run_pipeline(config, data, out)
-        return {
-            name: (out / name).read_bytes()
-            for name in ("report.json", "weights.json", "oof.csv")
-        }
 
-    first = one_run(tmp_path / "run1")
-    second = one_run(tmp_path / "run2")
-    for name in first:
-        assert first[name] == second[name], f"{name} differs between identical runs"
-    _pass("C9 determinism", "report.json, weights.json, oof.csv byte-identical")
+def test_c9_determinism_of_full_pipeline(c9_first_run, tmp_path):
+    data, first, _ = c9_first_run
+    _c9_run(data, tmp_path / "run2")
+    for name in C9_FILES:
+        assert (first / name).read_bytes() == (tmp_path / "run2" / name).read_bytes(), (
+            f"{name} differs between identical runs"
+        )
+    _pass("C9 determinism", f"{', '.join(C9_FILES)} byte-identical")
+
+
+def _fuse_large_shaped(rows: int, seed: int):
+    """Three columns built as the fuse-large benchmark builds its CSV."""
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, 2, rows)
+    cols = [np.round(1.0 / (1.0 + np.exp(-(s * (2 * labels - 1) + rng.standard_normal(rows)))), 6)
+            for s in (0.5, 1.0, 1.5)]
+    return np.stack(cols, axis=1), labels
+
+
+def test_c3_meta_learner_reaches_its_ridge_optimum(c9_first_run):
+    # The gradient of the ridge objective, computed here from the fitted
+    # (w, b), is zero to 1e-9: on the C9 run's own OOF table and meta.json,
+    # and on 50,000 rows shaped like the fuse-large benchmark's held-in half.
+    _, out, config = c9_first_run
+    matrix, labels = load_predictions_csv(out / "oof.csv")
+    meta = json.loads((out / "meta.json").read_text())
+    fuse_feats, fuse_labels = _fuse_large_shaped(50_000, 1)
+    fit = train_meta(fuse_feats, fuse_labels, config.meta_ridge)
+    cases = {
+        "c9 oof": (matrix, labels, np.array(meta["w"]), meta["b"]),
+        "fuse-large shape": (fuse_feats, fuse_labels, fit.w, fit.b),
+    }
+    gaps = {}
+    for name, (feats, y, w, b) in cases.items():
+        grad = logistic_objective_gradient(w, b, feats, y.astype(np.float64),
+                                           config.meta_ridge / len(y))
+        gaps[name] = float(np.max(np.abs(grad)))
+    assert all(gap <= 1e-9 for gap in gaps.values()), gaps
+    _pass("C3 meta-learner optimum", ", ".join(f"{k} max |grad| {v:.1e}" for k, v in gaps.items()))

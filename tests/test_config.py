@@ -19,6 +19,7 @@ def test_defaults_follow_reference_recipe():
     assert config.input_side == 224
     assert config.K == 3
     assert config.fusion_combine_rule == "mean"
+    assert config.meta_ridge == 1.0
 
 
 @pytest.mark.parametrize(
@@ -35,7 +36,8 @@ def test_defaults_follow_reference_recipe():
         {"input_side": 0},
         {"fusion_combine_rule": "vote"},
         {"eval_level": "image"},
-        {"meta_l2": -0.5},
+        {"meta_ridge": -0.5},
+        {"meta_ridge": -1e-300},
     ],
 )
 def test_out_of_range_fields_rejected(overrides):
@@ -73,7 +75,7 @@ def test_malformed_json_rejected(tmp_path):
         {"threshold": "0.5"},
         {"batch_size": float("nan")},
         {"learning_rate": float("inf")},
-        {"meta_l2": -float("inf")},
+        {"meta_ridge": -float("inf")},
         {"seed": 1.5},
         {"K": 3.0},
         {"K": True},
@@ -81,7 +83,9 @@ def test_malformed_json_rejected(tmp_path):
         {"input_side": None},
         {"task_name": 5},
         {"eval_level": ["slice"]},
-        {"meta_l2": 10**400},
+        {"meta_ridge": 10**400},
+        {"meta_ridge": float("nan")},
+        {"meta_ridge": "1.0"},
     ],
 )
 def test_wrongly_typed_fields_rejected(overrides):
@@ -90,7 +94,7 @@ def test_wrongly_typed_fields_rejected(overrides):
 
 
 def test_integer_stands_for_a_float():
-    config = RunConfig(meta_l2=0, learning_rate=1)
+    config = RunConfig(meta_ridge=0, learning_rate=1)
     assert RunConfig.from_dict(json.loads(json.dumps(config.to_dict()))) == config
 
 

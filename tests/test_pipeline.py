@@ -5,6 +5,8 @@ import math
 import multiprocessing
 import os
 import pickle
+import subprocess
+import sys
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -32,7 +34,7 @@ from hybridens.weighting import optimize_weights
 TINY = dict(
     input_side=16, batch_size=16, dropout_rate=0.25, folds=2, freeze_epochs=2,
     finetune_epochs=2, head_learning_rate=1e-2, learning_rate=1e-3,
-    weight_steps=150, meta_epochs=150,
+    weight_steps=150,
 )
 
 
@@ -160,7 +162,7 @@ def test_pipeline_fusion_matches_fuse_refit(tiny_run):
     oof_lines = (out / "oof.csv").read_text().strip().splitlines()[1:]
     matrix = np.array([[float(v) for v in line.split(",")[2:5]] for line in oof_lines])
     labels = np.array([int(line.split(",")[-1]) for line in oof_lines])
-    meta = train_meta(matrix, labels, config.meta_epochs, config.meta_lr, config.meta_l2)
+    meta = train_meta(matrix, labels, config.meta_ridge)
     assert json.loads((out / "meta.json").read_text()) == meta.to_dict()
 
 
@@ -429,6 +431,30 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
         assert info.value.code == 2, argv
 
 
+@pytest.mark.parametrize("field", ["meta_epochs", "meta_lr", "meta_l2"])
+def test_cli_rejects_a_config_with_a_removed_meta_learner_field(tmp_path, capsys, field):
+    # meta_ridge replaced the gradient-descent fields; a config that still
+    # names one of them is a configuration error, not a silently ignored key.
+    config = tmp_path / "old.json"
+    config.write_text(json.dumps({"seed": 1, field: 1}))
+    make_fuse_csv(tmp_path / "p.csv")
+    capsys.readouterr()
+    assert cli.main(["fuse", "--config", str(config), "--preds", str(tmp_path / "p.csv"),
+                     "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "unknown config fields" in err and field in err, err
+    assert not (tmp_path / "o").exists()
+
+
+def test_importing_the_package_loads_no_process_pool_machinery():
+    code = ("import sys, hybridens; "
+            "print([m for m in ('multiprocessing', 'concurrent.futures', 'numpy') if m in sys.modules])")
+    env = {**os.environ, "PYTHONPATH": str(Path(pipeline.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                         check=True, timeout=60).stdout
+    assert out.strip() == "[]", out
+
+
 def test_cli_run_exits_4_when_an_oof_learner_fails(tmp_path, monkeypatch, capsys):
     def diverge(self, fit_samples):
         raise NumericError(f"loss diverged for {self.arch}")
@@ -540,15 +566,24 @@ def _unless_taxonomy_error(call):
         return None
 
 
+_SPREAD = np.array([0.1, 0.9, 0.2, 0.8, 0.7, 0.3])
+_MIXED = np.array([0, 1, 0, 1, 0, 0])
+
+
 @settings(max_examples=300, deadline=None)
-@given(table=_score_tables())
-@example(table=(np.array([[18015.0]]), np.array([0])))  # raised IndexError in project_simplex
-def test_score_arrays_fuse_and_score_or_raise_a_taxonomy_error(table):
+@given(table=_score_tables(), ridge=st.sampled_from([0.0, 1.0, 1e6]))
+@example(table=(np.array([[18015.0]]), np.array([0])), ridge=1.0)  # IndexError in project_simplex
+@example(table=(np.array([[0.2, 0.9], [0.7, 0.4]]), np.array([1, 1])), ridge=0.0)  # one class
+@example(table=(np.array([[0.3, 0.8, 0.5]]), np.array([1])), ridge=1.0)  # one row
+@example(table=(np.column_stack([np.full(6, 0.4), _SPREAD]), _MIXED), ridge=0.0)  # constant column
+# Two identical columns make the Newton system singular at ridge 0.
+@example(table=(np.column_stack([_SPREAD, _SPREAD]), _MIXED), ridge=0.0)
+def test_score_arrays_fuse_and_score_or_raise_a_taxonomy_error(table, ridge):
     matrix, labels = table
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # single-class labels and invalid matmuls warn
         fit = _unless_taxonomy_error(lambda: optimize_weights(matrix, labels, 50, 0.5))
-        meta = _unless_taxonomy_error(lambda: train_meta(matrix, labels, 50, 0.5))
+        meta = _unless_taxonomy_error(lambda: train_meta(matrix, labels, ridge))
     if fit is not None:
         assert np.all(fit.alpha >= 0.0) and abs(fit.alpha.sum() - 1.0) <= 1e-9, fit.alpha
     if meta is not None:

@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from hybridens import pipeline
+from hybridens import pipeline, stacking
 from hybridens.data import FoldAssignment, LabeledSample
 from hybridens.errors import ConfigError, DataError, NumericError
 from hybridens.stacking import (
@@ -14,10 +14,9 @@ from hybridens.stacking import (
     meta_predict,
     oof_predictions,
     train_meta,
-    _meta_loss,
 )
 from hybridens.weighting import weighted_predict
-from oracle_utils import fd_gradient, rel_error
+from oracle_utils import fd_gradient, logistic_objective, logistic_objective_gradient, rel_error
 
 
 class MeanLabelLearner:
@@ -159,45 +158,179 @@ def test_meta_gradient_matches_finite_differences():
         w = rng.normal(size=3)
         b = float(rng.normal())
         l2 = float(rng.random())
-        gw, gb = meta_gradient(_meta_loss(w, b, feats, y, l2)[1], w, feats, y, l2)
-        fw = fd_gradient(lambda t: _meta_loss(t, b, feats, y, l2)[0], w, h_scale=1e-6)
-        fb = fd_gradient(lambda t: _meta_loss(w, float(t[0]), feats, y, l2)[0],
+        p = 1.0 / (1.0 + np.exp(-(feats @ w + b)))
+        gw, gb = meta_gradient(p, w, feats, y, l2)
+        fw = fd_gradient(lambda t: logistic_objective(t, b, feats, y, l2), w, h_scale=1e-6)
+        fb = fd_gradient(lambda t: logistic_objective(w, float(t[0]), feats, y, l2),
                          np.array([b]), h_scale=1e-6)[0]
         assert rel_error(np.append(gw, gb), np.append(fw, fb)) <= 1e-5
 
 
+def _optimality_gap(m, feats, y, ridge):
+    """Largest gradient entry of the ridge objective at the fitted (w, b)."""
+    y = np.asarray(y, dtype=np.float64)
+    return np.max(np.abs(logistic_objective_gradient(m.w, m.b, feats, y, ridge / len(y))))
+
+
 def test_train_meta_separable_reaches_perfect_accuracy():
+    # The ridge keeps the optimum finite on separable rows, and it classifies them.
     feats = np.array([[1.0, 1.0], [1.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
     y = np.array([1, 1, 0, 0])
-    m = train_meta(feats, y, epochs=800, lr=1.0, l2=0.0)
+    m = train_meta(feats, y, ridge=1.0)
     preds = (np.asarray(meta_predict(m, feats)) > 0.5).astype(int)
     assert preds.tolist() == y.tolist()
+    assert _optimality_gap(m, feats, y, 1.0) <= 1e-9
+    assert m.w[0] == pytest.approx(m.w[1], abs=1e-9)  # the two equal columns share the weight
 
 
 def test_train_meta_loss_never_increases_from_start():
+    # The fit is the global minimum of a convex objective: no lower than the
+    # start (ln 2 at zero), and no lower anywhere near it.
     rng = np.random.default_rng(5)
     feats = rng.random((40, 3))
-    y = rng.integers(0, 2, 40)
-    m = train_meta(feats, y, epochs=200, lr=2.0, l2=0.1)
-    initial = _meta_loss(np.zeros(3), 0.0, feats, y.astype(float), 0.1)[0]
-    final = _meta_loss(m.w, m.b, feats, y.astype(float), 0.1)[0]
-    assert final <= initial
+    y = rng.integers(0, 2, 40).astype(np.float64)
+    m = train_meta(feats, y, ridge=0.1)
+    assert _optimality_gap(m, feats, y, 0.1) <= 1e-9
+    final = logistic_objective(m.w, m.b, feats, y, 0.1 / 40)
+    assert final <= logistic_objective(np.zeros(3), 0.0, feats, y, 0.1 / 40) == np.log(2.0)
+    for _ in range(100):
+        dw, db = 1e-3 * rng.standard_normal(3), 1e-3 * rng.standard_normal()
+        assert final <= logistic_objective(m.w + dw, m.b + db, feats, y, 0.1 / 40)
 
 
 def test_train_meta_huge_ridge_pins_weights_near_zero():
+    # As the ridge grows, w goes to zero and b to the intercept-only optimum.
     rng = np.random.default_rng(6)
     feats = rng.random((30, 2))
     y = rng.integers(0, 2, 30)
-    m = train_meta(feats, y, epochs=500, lr=0.5, l2=1e6)
-    assert np.linalg.norm(m.w) <= 1e-3
+    m = train_meta(feats, y, ridge=1e9)
+    assert np.linalg.norm(m.w) <= 1e-6
+    assert 1.0 / (1.0 + np.exp(-m.b)) == pytest.approx(y.mean(), abs=1e-6)
+    assert _optimality_gap(m, feats, y, 1e9) <= 1e-9
 
 
 def test_train_meta_intercept_only_matches_positive_rate():
-    # One constant feature column: the optimum is the base-rate sigmoid.
+    # One constant feature column: the ridge puts the whole fit in b, at the
+    # base-rate logit.
     y = np.array([1, 1, 1, 0, 0, 0, 0, 0, 0, 0])
     feats = np.full((10, 1), 0.7)
-    m = train_meta(feats, y, epochs=4000, lr=1.0, l2=0.0)
-    assert meta_predict(m, np.array([[0.7]]))[0] == pytest.approx(0.3, abs=1e-3)
+    m = train_meta(feats, y, ridge=1.0)
+    assert abs(m.w[0]) <= 1e-9
+    assert meta_predict(m, np.array([[0.7]]))[0] == pytest.approx(0.3, abs=1e-9)
+    assert _optimality_gap(m, feats, y, 1.0) <= 1e-9
+
+
+def _reference_newton(feats, y, ridge, steps=100):
+    """Damped Newton on the augmented design [feats, 1]: the whole-loss
+    halving guard and the tolerance of an independent implementation."""
+    a = np.column_stack([feats, np.ones(len(y))])
+    n, k = feats.shape
+    pen = np.append(np.full(k, ridge / n), 0.0)
+
+    def objective(theta):
+        return logistic_objective(theta[:k], theta[k], feats, y, ridge / n)
+
+    theta = np.zeros(k + 1)
+    for _ in range(steps):
+        p = 1.0 / (1.0 + np.exp(-(a @ theta)))
+        grad = a.T @ (p - y) / n + pen * theta
+        if np.max(np.abs(grad)) <= 1e-12:
+            break
+        hess = (a * (p * (1 - p))[:, None]).T @ a / n + np.diag(pen)
+        step, rate = np.linalg.solve(hess, grad), 1.0
+        while objective(theta - rate * step) > objective(theta) and rate > 1e-9:
+            rate /= 2
+        theta = theta - rate * step
+    return theta
+
+
+NEWTON_CAP = stacking.MAX_NEWTON_STEPS
+
+
+def _fit_in_steps(monkeypatch, feats, y, ridge, steps):
+    """The fit stopped after at most `steps` Newton steps."""
+    monkeypatch.setattr(stacking, "MAX_NEWTON_STEPS", steps)
+    return train_meta(feats, y, ridge=ridge)
+
+
+def _objective_path(monkeypatch, feats, y, ridge):
+    """The objective after 0, 1, 2, ... steps, up to the fit's last step."""
+    n = len(y)
+    path, last = [], None
+    for steps in range(NEWTON_CAP + 1):
+        m = _fit_in_steps(monkeypatch, feats, y, ridge, steps)
+        if last is not None and m.w.tobytes() == last.w.tobytes() and m.b == last.b:
+            break
+        path.append(logistic_objective(m.w, m.b, feats, y, ridge / n))
+        last = m
+    return np.array(path), last
+
+
+@pytest.mark.parametrize("ridge", [0.0, 1.0, 30.0])
+def test_train_meta_never_raises_the_objective_and_matches_a_reference_newton(monkeypatch, ridge):
+    rng = np.random.default_rng(21)
+    y = rng.integers(0, 2, 300).astype(np.float64)
+    signal = (y[:, None] - 0.5) * rng.random(3)
+    feats = np.clip(0.5 + signal + 0.3 * rng.standard_normal((300, 3)), 0.0, 1.0)
+    path, m = _objective_path(monkeypatch, feats, y, ridge)
+    assert 3 <= len(path) <= NEWTON_CAP
+    # Each step lowers the objective, up to the rounding of its evaluation.
+    assert np.all(np.diff(path) <= 1e-15 * path[:-1]), np.diff(path)
+    assert path[-1] < path[0] == pytest.approx(np.log(2.0))
+    # A gradient within 1e-10 of zero, over the Hessian's smallest eigenvalue
+    # (1.4e-4 at ridge 0 here), puts either fit within 7e-7 of the optimum.
+    reference = _reference_newton(feats, y, ridge)
+    assert np.max(np.abs(np.append(m.w, m.b) - reference)) <= 1e-6
+    assert _optimality_gap(m, feats, y, ridge) <= 1e-9
+
+
+@pytest.mark.parametrize("seed", [89, 176])
+def test_train_meta_resolves_steps_below_the_rounding_of_the_loss(seed):
+    # Nearly separable rows at ridge 0.1: the last steps change the mean
+    # loss by less than its rounding.  A guard that compared two whole
+    # losses stalled here at a gradient of 5.5e-10 (seed 89) and 9.7e-10
+    # (seed 176); the row-wise change reaches the stopping tolerance.
+    rng = np.random.default_rng(seed)
+    y = rng.integers(0, 2, 100).astype(np.float64)
+    feats = np.clip(0.5 + (y[:, None] - 0.5) * 10 * rng.random(3)
+                    + 0.3 * rng.standard_normal((100, 3)), 0.0, 1.0)
+    m = train_meta(feats, y, ridge=0.1)
+    assert _optimality_gap(m, feats, y, 0.1) <= 1e-10
+
+
+def test_train_meta_takes_the_minimum_norm_step_on_collinear_columns(monkeypatch):
+    # At ridge 0, two equal columns make the Newton system singular.  Any
+    # split of the weight between them is optimal; the minimum-norm steps
+    # split it evenly and never raise the objective.
+    rng = np.random.default_rng(86)
+    y = rng.integers(0, 2, 57).astype(np.float64)
+    col = np.clip(0.5 + (y - 0.5) * 0.6 + 0.3 * rng.standard_normal(57), 0, 1)
+    feats = np.column_stack([col, col])
+    path, m = _objective_path(monkeypatch, feats, y, 0.0)
+    assert np.all(np.diff(path) <= 1e-15 * path[:-1]), np.diff(path)
+    assert m.w[0] == pytest.approx(m.w[1], rel=1e-12)
+    assert _optimality_gap(m, feats, y, 0.0) <= 1e-9
+
+
+def test_train_meta_falls_back_to_gradient_steps_when_the_solve_fails(monkeypatch):
+    # Columns on a 0-10 scale make a unit gradient step overshoot, so the
+    # halving guard shortens the steps.
+    rng = np.random.default_rng(8)
+    y = rng.integers(0, 2, 60).astype(np.float64)
+    feats = 10 * np.clip(0.5 + (y[:, None] - 0.5) * 0.6 + 0.2 * rng.standard_normal((60, 2)), 0, 1)
+    g0 = logistic_objective_gradient(np.zeros(2), 0.0, feats, y, 1.0 / 60)
+
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+    monkeypatch.setattr(np.linalg, "lstsq", failing)
+    path, _ = _objective_path(monkeypatch, feats, y, 1.0)
+    assert len(path) == NEWTON_CAP + 1  # gradient steps do not converge within the cap
+    assert np.all(np.diff(path) <= 1e-15 * path[:-1]) and path[-1] < path[0] - 0.05
+    first = _fit_in_steps(monkeypatch, feats, y, 1.0, 1)
+    rate = -first.b / g0[-1]
+    assert rate < 1 and np.log2(rate) == round(np.log2(rate))  # a halved unit step
+    assert np.append(first.w, first.b) == pytest.approx(-rate * g0, rel=1e-12)
 
 
 def fused(alpha, meta, p, rule):
@@ -234,42 +367,3 @@ def test_hybrid_idempotent_when_components_agree():
     alpha = np.array([1.0, 0.0])
     meta = MetaLearner(w=np.zeros(2), b=np.log(0.8 / 0.2))
     assert fused(alpha, meta, np.array([[0.8, 0.1]]), "mean") == pytest.approx([0.8])
-
-
-def _recomputing_train_meta(feats, y, epochs, lr, l2):
-    """The loop that scored every accepted step twice, kept as the reference;
-    returns (w, b, halvings taken)."""
-    from hybridens.weighting import MAX_HALVINGS, mean_bce, sigmoid
-
-    def loss_at(w, b):
-        return mean_bce(sigmoid(feats @ w + b), y) + 0.5 * l2 * float(w @ w)
-
-    w, b, halvings = np.zeros(feats.shape[1]), 0.0, 0
-    loss = loss_at(w, b)
-    for _ in range(epochs):
-        r = sigmoid(feats @ w + b) - y
-        gw, gb = feats.T @ r / len(y) + l2 * w, float(np.sum(r) / len(y))
-        rate = lr
-        for _ in range(MAX_HALVINGS):
-            wt, bt = w - rate * gw, b - rate * gb
-            lt = loss_at(wt, bt)
-            if lt <= loss:
-                w, b, loss = wt, bt, lt
-                break
-            rate *= 0.5
-            halvings += 1
-        else:
-            break
-    return w, b, halvings
-
-
-@pytest.mark.parametrize("l2", [0.0, 0.05])
-def test_train_meta_matches_the_recomputing_loop_bit_for_bit(l2):
-    rng = np.random.default_rng(21)
-    y = rng.integers(0, 2, 300).astype(np.float64)
-    signal = (y[:, None] - 0.5) * rng.random(3)
-    feats = np.clip(0.5 + signal + 0.3 * rng.standard_normal((300, 3)), 0.0, 1.0)
-    w, b, halvings = _recomputing_train_meta(feats, y, 150, 40.0, l2)
-    assert halvings > 0  # a rate this large overshoots, so steps are retried
-    m = train_meta(feats, y, epochs=150, lr=40.0, l2=l2)
-    assert m.w.tobytes() == w.tobytes() and repr(m.b) == repr(b)
