@@ -1,4 +1,4 @@
-"""Binary-classification scoring: confusion counts, ACC/SEN/SPE, ROC, AUC."""
+"""Binary-classification scoring: ACC/SEN/SPE, ROC, AUC."""
 
 from __future__ import annotations
 
@@ -8,18 +8,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-
-
-@dataclass
-class ConfusionMatrix:
-    tp: int
-    fp: int
-    tn: int
-    fn: int
-
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.tn + self.fn
 
 
 @dataclass
@@ -40,7 +28,12 @@ class RocCurve:
         return self.tp / self.tp[-1]
 
 
-def confusion(labels, predictions) -> ConfusionMatrix:
+def acc_sen_spe(labels, predictions) -> tuple[float, float, float]:
+    """(accuracy, sensitivity, specificity) of 0/1 predictions, as fractions.
+
+    A class with no members makes its rate undefined; that slot is returned
+    as NaN rather than a fabricated 0 or 1.
+    """
     labels = np.asarray(labels, dtype=np.int64)
     predictions = np.asarray(predictions, dtype=np.int64)
     if labels.shape != predictions.shape:
@@ -53,19 +46,9 @@ def confusion(labels, predictions) -> ConfusionMatrix:
     fp = int(np.sum((labels == 0) & (predictions == 1)))
     tn = int(np.sum((labels == 0) & (predictions == 0)))
     fn = int(np.sum((labels == 1) & (predictions == 0)))
-    return ConfusionMatrix(tp=tp, fp=fp, tn=tn, fn=fn)
-
-
-def acc_sen_spe(cm: ConfusionMatrix) -> tuple[float, float, float]:
-    """(accuracy, sensitivity, specificity) as fractions.
-
-    A class with no members makes its rate undefined; that slot is returned
-    as NaN rather than a fabricated 0 or 1.
-    """
-    total = cm.total
-    acc = (cm.tp + cm.tn) / total
-    sen = cm.tp / (cm.tp + cm.fn) if (cm.tp + cm.fn) > 0 else math.nan
-    spe = cm.tn / (cm.tn + cm.fp) if (cm.tn + cm.fp) > 0 else math.nan
+    acc = (tp + tn) / (tp + fp + tn + fn)
+    sen = tp / (tp + fn) if (tp + fn) > 0 else math.nan
+    spe = tn / (tn + fp) if (tn + fp) > 0 else math.nan
     return acc, sen, spe
 
 

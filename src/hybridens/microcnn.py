@@ -19,7 +19,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import RunConfig
 from .data import LabeledSample
-from .errors import DataError, NumericError
+from .errors import ConfigError, DataError, NumericError
 from .imageio import write_file
 from .weighting import mean_bce, sigmoid
 
@@ -358,12 +358,21 @@ def batch_tensor(samples: list[LabeledSample]) -> np.ndarray:
     return np.stack([s.payload for s in samples])[:, None, :, :].astype(np.float64)
 
 
-def _infer(layers: list, x: np.ndarray) -> np.ndarray:
-    """Inference-mode pass through `layers` that keeps no backward context,
-    so each layer's input is freed as soon as its output exists."""
-    for layer in layers:
-        x = layer.forward(x, False, None)[0]
-    return x
+def _infer(layers: list, inputs: list[LabeledSample] | np.ndarray, batch_size: int) -> np.ndarray:
+    """Inference-mode outputs of `layers` for every input, in batches of
+    `batch_size`: labeled samples, or an array of inputs to the first layer,
+    one per image.  No backward context is kept, so each layer's input is
+    freed as soon as its output exists."""
+    out = np.empty(0)
+    for i in range(0, len(inputs), batch_size):
+        x = inputs[i : i + batch_size]
+        x = x if isinstance(x, np.ndarray) else batch_tensor(x)
+        for layer in layers:
+            x = layer.forward(x, False, None)[0]
+        if i == 0:
+            out = np.empty((len(inputs), *x.shape[1:]))
+        out[i : i + len(x)] = x
+    return out
 
 
 def predict_proba(
@@ -372,28 +381,9 @@ def predict_proba(
     """Inference-mode probabilities, batched.
 
     `samples` are labeled samples, or an array of the inputs to layer
-    `start`, one per image, as `_prefix_outputs` stores them.
+    `start`, one per image, as `_run_epochs` stores them.
     """
-    out = np.empty(len(samples))
-    for i in range(0, len(samples), batch_size):
-        chunk = samples[i : i + batch_size]
-        x = chunk if isinstance(chunk, np.ndarray) else batch_tensor(chunk)
-        out[i : i + len(chunk)] = _infer(net.layers[start:], x)
-    return out
-
-
-def _prefix_outputs(
-    net: MicroNet, samples: list[LabeledSample], stop: int, batch_size: int
-) -> np.ndarray:
-    """The outputs of layers below `stop` for every sample, computed in the
-    batches `predict_proba` uses, so that what runs on them matches it bit for bit."""
-    feats = None
-    for start in range(0, len(samples), batch_size):
-        x = _infer(net.layers[:stop], batch_tensor(samples[start : start + batch_size]))
-        if feats is None:
-            feats = np.empty((len(samples), *x.shape[1:]))
-        feats[start : start + len(x)] = x
-    return feats
+    return _infer(net.layers[start:], samples, batch_size)
 
 
 def _run_epochs(
@@ -413,8 +403,9 @@ def _run_epochs(
     # each image the same output in every epoch: run them once, here.
     dropouts = [i for i, layer in enumerate(net.layers) if layer.kind == "dropout"]
     stop = min([_lowest_trainable(net), *dropouts])
-    feats = _prefix_outputs(net, train, stop, batch_size)
-    val_feats = _prefix_outputs(net, val, stop, batch_size) if val else None
+    # The same batches as `predict_proba`, so what runs on them matches it bit for bit.
+    feats = _infer(net.layers[:stop], train, batch_size)
+    val_feats = _infer(net.layers[:stop], val, batch_size)
     for epoch in range(epochs):
         order = rng.permutation(len(train))
         losses = []
@@ -512,7 +503,7 @@ def build_micronet(
         layers.append(MaxPool2())
         c, side = out_ch, (side - ksize + 1) // 2
         if side < 1:
-            raise ValueError(f"input side {input_side} too small for {architecture_id}")
+            raise ConfigError(f"input side {input_side} too small for {architecture_id}")
     for _ in range(layout["extra_pools"]):
         if side >= 2:
             layers.append(MaxPool2())

@@ -103,7 +103,7 @@ def score_rows(
             members = [subs == sub for sub in sorted(set(subjects))]
             s = np.array([np.mean(s[m]) for m in members])
             y = np.array([labels[m][-1] for m in members], dtype=np.int64)
-        acc, sen, spe = metrics.acc_sen_spe(metrics.confusion(y, s > tau))
+        acc, sen, spe = metrics.acc_sen_spe(y, s > tau)
         area = metrics.auc(curves[name] if eval_level == "slice" else metrics.roc_curve(y, s))
         rows.append(
             {
@@ -156,21 +156,19 @@ def write_rocs(out_dir: Path, curves: dict[str, metrics.RocCurve]) -> dict[str, 
     return files
 
 
-def _train_base(job: tuple) -> tuple[microcnn.MicroNet, list[dict], np.ndarray, np.ndarray]:
-    """Build and two-phase-train one base net; predict val and test with it."""
-    config, arch, train, val, test = job
-    net = microcnn.build_micronet(
-        arch, config.input_side, config.dropout_rate, rng_for(config.seed, "init", arch)
-    )
+def _train_net(job: tuple) -> tuple[microcnn.MicroNet, list[dict], list[np.ndarray]]:
+    """Build one net, two-phase-train it on `fit` (scoring `val` each epoch
+    when given) and predict each query set with it.  A base net (fold None)
+    draws from the ("init"|"train", arch) streams, an out-of-fold net from
+    ("oof-init"|"oof-train", arch, fold)."""
+    config, arch, fold, fit, val, queries = job
+    stage, tags = ("", (arch,)) if fold is None else ("oof-", (arch, fold))
+    init_rng = rng_for(config.seed, stage + "init", *tags)
+    net = microcnn.build_micronet(arch, config.input_side, config.dropout_rate, init_rng)
     net, history = microcnn.train_two_phase(
-        net, train, val, config, rng_for(config.seed, "train", arch)
+        net, fit, val, config, rng_for(config.seed, stage + "train", *tags)
     )
-    return (
-        net,
-        history,
-        microcnn.predict_proba(net, val, config.batch_size),
-        microcnn.predict_proba(net, test, config.batch_size),
-    )
+    return net, history, [microcnn.predict_proba(net, q, config.batch_size) for q in queries]
 
 
 def train_bases(
@@ -192,8 +190,8 @@ def train_bases(
     val_preds = np.zeros((len(val), config.K))
     test_preds = np.zeros((len(test), config.K))
     histories = []
-    jobs = [(config, arch, train, val, test) for arch in arch_ids]
-    for k, (net, history, val_p, test_p) in enumerate(map(_train_base, jobs)):
+    jobs = [(config, arch, None, train, val, [val, test]) for arch in arch_ids]
+    for k, (net, history, (val_p, test_p)) in enumerate(map(_train_net, jobs)):
         arch = arch_ids[k]
         microcnn.save_checkpoint(net, ckpt_dir / f"{arch}.ckpt")
         _write_json(ckpt_dir / f"{arch}_history.json", {"architecture_id": arch, "epochs": history})
@@ -209,35 +207,12 @@ def train_bases(
     return nets, val_preds, test_preds, histories
 
 
-class _CnnLearner:
-    """Picklable out-of-fold learner for one (architecture, fold). Nothing reads
-    an OOF net's loss history, so it trains without a validation set."""
-
-    def __init__(self, config: RunConfig, arch: str, fold: int):
-        self.config = config
-        self.arch = arch
-        self.fold = fold
-        self.net = None
-
-    def fit(self, fit_samples: list[LabeledSample]) -> None:
-        net = microcnn.build_micronet(
-            self.arch,
-            self.config.input_side,
-            self.config.dropout_rate,
-            rng_for(self.config.seed, "oof-init", self.arch, self.fold),
-        )
-        self.net, _ = microcnn.train_two_phase(
-            net, fit_samples, [], self.config,
-            rng_for(self.config.seed, "oof-train", self.arch, self.fold),
-        )
-
-    def predict(self, query: list[LabeledSample]) -> np.ndarray:
-        return microcnn.predict_proba(self.net, query, self.config.batch_size)
-
-
-def _oof_factories(config: RunConfig) -> list:
-    """One learner factory per architecture; each takes the fold id."""
-    return [functools.partial(_CnnLearner, config, a) for a in microcnn.architecture_ids(config.K)]
+def _oof_net(
+    config: RunConfig, arch: str, fold: int, fit: list[LabeledSample], holdout: list[LabeledSample]
+) -> np.ndarray:
+    """The out-of-fold learner of one architecture, as `_train_net` of one fold.
+    Nothing reads an OOF net's loss history, so it trains without a validation set."""
+    return _train_net((config, arch, fold, fit, [], [holdout]))[2][0]
 
 
 def _model_scores(
@@ -326,9 +301,8 @@ def run_pipeline(
 
         with error_context("stage oof"):
             folds = assign_folds(samples, split.train_ids, config.folds, config.seed)
-            oof = stacking.oof_predictions(
-                samples, split.train_ids, folds, _oof_factories(config), pool_map
-            )
+            learners = [functools.partial(_oof_net, config, arch) for arch in arch_ids]
+            oof = stacking.oof_predictions(samples, split.train_ids, folds, learners, pool_map)
             oof_ids = [samples[i].sample_id for i in oof.train_ids]
             save_predictions_csv(out / "oof.csv", oof.matrix, oof.labels, oof_ids, oof.fold_of)
 

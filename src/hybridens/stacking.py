@@ -9,7 +9,7 @@ recorded and auditable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Protocol, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -19,15 +19,6 @@ from .weighting import MAX_HALVINGS, sigmoid
 
 GRAD_TOL = 1e-10
 MAX_NEWTON_STEPS = 50
-
-
-class BaseLearner(Protocol):
-    def fit(self, samples: list[LabeledSample]) -> None: ...
-
-    def predict(self, samples: list[LabeledSample]) -> np.ndarray: ...
-
-
-LearnerFactory = Callable[[int], "BaseLearner"]
 
 
 @dataclass
@@ -69,34 +60,34 @@ class MetaLearner:
 
 
 def _fit_predict(job: tuple) -> np.ndarray:
-    """Fit learner k of one fold and predict that fold's holdout samples.
+    """Fit learner k on one fold's fit samples and predict its holdout samples.
     Failures carry the learner and fold ids, as `error_context` words them."""
-    factory, k, fold, fit_samples, holdout_samples = job
+    learner, k, fold, fit_samples, holdout_samples = job
     with error_context(f"base learner {k} failed on fold {fold}"):
-        learner = factory(fold)
-        learner.fit(fit_samples)
-        return np.asarray(learner.predict(holdout_samples), dtype=np.float64)
+        return np.asarray(learner(fold, fit_samples, holdout_samples), dtype=np.float64)
 
 
 def oof_predictions(
     samples: list[LabeledSample],
     train_ids: list[int],
     folds: FoldAssignment,
-    factories: Sequence[LearnerFactory],
+    learners: Sequence[Callable],
     map: Callable = map,
 ) -> OofTable:
-    """Train len(factories) base learners per fold and fill the OOF matrix.
+    """Train len(learners) base learners per fold and fill the OOF matrix.
 
-    Each factory is called with the fold id and must return a fresh learner
-    whose behaviour is fully determined by that id (seeding is the caller's
-    business).  The (fold, k) jobs share no state, so `map` may run them in
-    any order or process; a process pool's `map` needs picklable factories.
-    The first failing job in (fold, k) order raises, as `_fit_predict` does.
+    Each learner is a function `(fold, fit_samples, holdout_samples) ->
+    probabilities` that fits a fresh model and predicts the holdout samples
+    with it; its result must be fully determined by its arguments (seeding
+    is the caller's business).  The (fold, k) jobs share no state, so `map`
+    may run them in any order or process; a process pool's `map` needs
+    picklable learners.  The first failing job in (fold, k) order raises, as
+    `_fit_predict` does.
     """
-    if not factories:
-        raise ValueError("need at least one base-learner factory")
+    if not learners:
+        raise ValueError("need at least one base learner")
     n = len(train_ids)
-    matrix = np.full((n, len(factories)), np.nan)
+    matrix = np.full((n, len(learners)), np.nan)
     row_of = {sample_id: row for row, sample_id in enumerate(train_ids)}
     fold_train_ids: dict[int, tuple[int, ...]] = {}
     holdouts, jobs = [], []
@@ -107,7 +98,7 @@ def oof_predictions(
         holdouts.append(holdout)
         fit_samples = [samples[i] for i in fit_ids]
         holdout_samples = [samples[i] for i in holdout]
-        jobs += [(f, k, fold, fit_samples, holdout_samples) for k, f in enumerate(factories)]
+        jobs += [(f, k, fold, fit_samples, holdout_samples) for k, f in enumerate(learners)]
     for (_, k, fold, _, _), preds in zip(jobs, map(_fit_predict, jobs)):
         for i, p in zip(holdouts[fold], preds):
             matrix[row_of[i], k] = p

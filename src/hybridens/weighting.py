@@ -9,7 +9,7 @@ reaches the optimum; projection keeps every iterate feasible.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,7 +81,6 @@ class WeightFit:
     alpha: np.ndarray
     val_bce: float
     steps_used: int
-    iterates: list[np.ndarray] = field(default_factory=list, repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -115,7 +114,6 @@ def optimize_weights(
         warnings.warn("optimizing ensemble weights on a single-class validation set")
     alpha = np.full(k, 1.0 / k)
     loss = mean_bce(preds @ alpha, labels)
-    iterates = [alpha.copy()]
     used = 0
     for _ in range(steps):
         grad = bce_gradient(alpha, preds, labels)
@@ -137,7 +135,6 @@ def optimize_weights(
         used += 1
         moved = float(np.max(np.abs(candidate - alpha)))
         alpha, loss = candidate, cand_loss
-        iterates.append(alpha.copy())
         if moved < CONVERGENCE_TOL:
             break
-    return WeightFit(alpha=alpha, val_bce=loss, steps_used=used, iterates=iterates)
+    return WeightFit(alpha=alpha, val_bce=loss, steps_used=used)

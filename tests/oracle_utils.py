@@ -3,11 +3,14 @@
 These deliberately avoid the library's own code paths: AUC by brute-force
 pair counting, gradients by central finite differences, simplex optima by
 grid search.  Expected values asserted elsewhere were computed with these.
+`weight_iterates` is the exception: it watches the library's own weight fit.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from hybridens import weighting
 
 
 def mw_auc(labels: np.ndarray, scores: np.ndarray) -> float:
@@ -67,3 +70,21 @@ def logistic_objective_gradient(w, b, feats, y, l2: float) -> np.ndarray:
     """Gradient of `logistic_objective` as one vector: the w entries, then b."""
     r = np.exp(-np.logaddexp(0.0, -(feats @ w + b))) - y
     return np.append(feats.T @ r / len(y) + l2 * w, np.mean(r))
+
+
+def weight_iterates(preds, labels, **kwargs):
+    """`optimize_weights(preds, labels, **kwargs)` and the weights of every
+    step: the fit evaluates `bce_gradient` once per step at the current
+    weights, so the iterates are those arguments, then the returned alpha."""
+    seen, gradient = [], weighting.bce_gradient
+
+    def recording(alpha, *args):
+        seen.append(np.array(alpha))
+        return gradient(alpha, *args)
+
+    weighting.bce_gradient = recording
+    try:
+        fit = weighting.optimize_weights(preds, labels, **kwargs)
+    finally:
+        weighting.bce_gradient = gradient
+    return fit, seen + [fit.alpha]

@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines.  Tolerances are pinned here and nowhere else.
 """
 
+import functools
 import hashlib
 import json
 import time
@@ -37,11 +38,7 @@ from hybridens.pipeline import run_pipeline
 from hybridens.seeding import rng_for
 from hybridens.stacking import meta_gradient, oof_predictions, train_meta
 from hybridens.synth import SynthSpec, synth_data
-from hybridens.weighting import (
-    bce_gradient,
-    mean_bce,
-    optimize_weights,
-)
+from hybridens.weighting import bce_gradient, mean_bce
 from oracle_utils import (
     fd_gradient,
     grid_simplex2_bce,
@@ -49,6 +46,7 @@ from oracle_utils import (
     logistic_objective_gradient,
     mw_auc,
     rel_error,
+    weight_iterates,
 )
 
 DESK_CONFIG = dict(
@@ -231,8 +229,8 @@ def test_c4_simplex_optimizer_matches_grid_search():
         n = int(rng.integers(10, 60))
         preds = rng.random((n, 2))
         labels = rng.integers(0, 2, n)
-        fit = optimize_weights(preds, labels)
-        for it in fit.iterates:
+        fit, iterates = weight_iterates(preds, labels)
+        for it in iterates:
             assert it.min() >= 0.0
             assert abs(it.sum() - 1.0) <= 1e-12
         best, _ = grid_simplex2_bce(preds, labels, step=1e-3)
@@ -257,40 +255,51 @@ def test_c5_auc_equals_pair_counting_oracle():
     _pass("C5 auc-oracle", f"worst |trapezoid - pairs| {worst:.1e}")
 
 
-class _MeanLearner:
-    def __init__(self, fold):
-        self.mean = 0.5
-
-    def fit(self, samples):
-        self.mean = float(np.mean([s.label for s in samples]))
-
-    def predict(self, samples):
-        return np.full(len(samples), self.mean)
+def _mean_learner(fold, fit_samples, holdout_samples):
+    return np.full(len(holdout_samples), float(np.mean([s.label for s in fit_samples])))
 
 
-def test_c6_oof_leakage_audit(small_run):
+def test_c6_oof_leakage_audit(small_run, monkeypatch):
     data, out, config, _ = small_run
     # audit a CNN-backed table at pipeline scale
     samples = load_image_dir(data, config.input_side)
     split = split_dataset(samples, (0.6, 0.2, 0.2), config.seed)
     from hybridens.data import assign_folds
-    from hybridens.pipeline import _oof_factories
+    from hybridens.pipeline import _oof_net
 
+    # Each OOF net records the ids it trained on and the ids it predicted.
+    nets = []
+    train, predict = microcnn.train_two_phase, microcnn.predict_proba
+
+    def recording_train(net, fit, *args):
+        nets.append(({s.sample_id for s in fit}, set()))
+        return train(net, fit, *args)
+
+    def recording_predict(net, query, *args):
+        nets[-1][1].update(s.sample_id for s in query)
+        return predict(net, query, *args)
+
+    monkeypatch.setattr(microcnn, "train_two_phase", recording_train)
+    monkeypatch.setattr(microcnn, "predict_proba", recording_predict)
     folds = assign_folds(samples, split.train_ids, config.folds, config.seed)
-    table = oof_predictions(samples, split.train_ids, folds, _oof_factories(config))
+    learners = [functools.partial(_oof_net, config, a) for a in microcnn.architecture_ids(config.K)]
+    table = oof_predictions(samples, split.train_ids, folds, learners)
     assert table.audit_leakage() == 0
     assert not np.isnan(table.matrix).any()
+    assert len(nets) == config.K * config.folds
+    assert all(fit and held and not fit & held for fit, held in nets)
 
     # leave-one-out boundary: k equals the training-sample count
     loo_samples = [
         LabeledSample(f"s{i}", 0, np.zeros((2, 2)), i % 2) for i in range(6)
     ]
     loo_folds = FoldAssignment(fold_of={i: i for i in range(6)}, k=6)
-    loo = oof_predictions(loo_samples, list(range(6)), loo_folds, [_MeanLearner])
+    loo = oof_predictions(loo_samples, list(range(6)), loo_folds, [_mean_learner])
     assert loo.audit_leakage() == 0
     for fold in range(6):
         assert len(loo.fold_train_ids[fold]) == 5
-    _pass("C6 oof-leakage", f"{table.matrix.shape[0]} rows + leave-one-out audited")
+    rows = table.matrix.shape[0]
+    _pass("C6 oof-leakage", f"{rows} rows, {len(nets)} nets + leave-one-out audited")
 
 
 def _digest(net, indices):

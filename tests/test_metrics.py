@@ -6,14 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hybridens.errors import DataError
-from hybridens.metrics import (
-    ConfusionMatrix,
-    acc_sen_spe,
-    auc,
-    confusion,
-    roc_curve,
-    roc_points_csv,
-)
+from hybridens.metrics import acc_sen_spe, auc, roc_curve, roc_points_csv
 from hybridens.pipeline import roc_curves, score_rows
 from oracle_utils import mw_auc
 
@@ -34,39 +27,44 @@ def test_threshold_is_strict(p, tau, expected):
     assert (row["sen"], row["spe"]) == (expected, 1 - expected)
 
 
+def outcomes(tp=0, fn=0, tn=0, fp=0):
+    """Labels and 0/1 predictions with the given confusion counts."""
+    labels = [1] * (tp + fn) + [0] * (tn + fp)
+    return labels, [1] * tp + [0] * fn + [0] * tn + [1] * fp
+
+
 def test_confusion_direct_count():
-    cm = confusion([1, 1, 0, 0], [1, 0, 0, 1])
-    assert (cm.tp, cm.fn, cm.tn, cm.fp) == (1, 1, 1, 1)
-    assert cm.total == 4
+    # One of each outcome: every rate is one half.
+    assert acc_sen_spe([1, 1, 0, 0], [1, 0, 0, 1]) == (0.5, 0.5, 0.5)
+    assert acc_sen_spe(*outcomes(tp=1, fn=2, tn=3, fp=4)) == (4 / 10, 1 / 3, 3 / 7)
 
 
 def test_confusion_perfect_and_degenerate():
-    cm = confusion([1, 0, 1], [1, 0, 1])
-    assert cm.fp == 0 and cm.fn == 0
-    cm = confusion([1, 1, 1], [0, 0, 0])
-    assert (cm.tn, cm.fp, cm.fn) == (0, 0, 3)
+    assert acc_sen_spe([1, 0, 1], [1, 0, 1]) == (1.0, 1.0, 1.0)
+    acc, sen, spe = acc_sen_spe([1, 1, 1], [0, 0, 0])
+    assert (acc, sen) == (0.0, 0.0) and math.isnan(spe)
 
 
 def test_confusion_rejects_mismatch_and_empty():
-    with pytest.raises(DataError):
-        confusion([1, 0], [1])
-    with pytest.raises(DataError):
-        confusion([], [])
+    with pytest.raises(DataError, match="different lengths"):
+        acc_sen_spe([1, 0], [1])
+    with pytest.raises(DataError, match="empty"):
+        acc_sen_spe([], [])
 
 
 def test_acc_sen_spe_reference_counts():
-    acc, sen, spe = acc_sen_spe(ConfusionMatrix(tp=31, fn=5, tn=48, fp=2))
+    acc, sen, spe = acc_sen_spe(*outcomes(tp=31, fn=5, tn=48, fp=2))
     assert round(100 * sen, 2) == 86.11
     assert round(100 * spe, 2) == 96.00
     assert acc == (31 + 48) / 86
 
 
 def test_acc_sen_spe_perfect():
-    assert acc_sen_spe(ConfusionMatrix(tp=3, fn=0, tn=4, fp=0)) == (1.0, 1.0, 1.0)
+    assert acc_sen_spe(*outcomes(tp=3, tn=4)) == (1.0, 1.0, 1.0)
 
 
 def test_acc_sen_spe_undefined_is_nan_not_zero():
-    acc, sen, spe = acc_sen_spe(ConfusionMatrix(tp=0, fn=0, tn=5, fp=1))
+    acc, sen, spe = acc_sen_spe(*outcomes(tn=5, fp=1))
     assert math.isnan(sen)
     assert spe == 5 / 6
 
@@ -75,9 +73,9 @@ def test_acc_sen_spe_invariant_under_permutation():
     rng = np.random.default_rng(0)
     labels = rng.integers(0, 2, 50)
     preds = rng.integers(0, 2, 50)
-    base = acc_sen_spe(confusion(labels, preds))
+    base = acc_sen_spe(labels, preds)
     perm = rng.permutation(50)
-    assert acc_sen_spe(confusion(labels[perm], preds[perm])) == base
+    assert acc_sen_spe(labels[perm], preds[perm]) == base
 
 
 def test_roc_perfect_separation_passes_through_corner():

@@ -1,5 +1,6 @@
 import csv
 import faulthandler
+import functools
 import json
 import math
 import multiprocessing
@@ -25,8 +26,8 @@ from hybridens.config import RunConfig
 from hybridens.data import assign_folds, load_image_dir, load_predictions_csv, save_predictions_csv
 from hybridens.errors import ConfigError, DataError, NumericError
 from hybridens.imageio import bilinear_resize, read_image, write_pgm
-from hybridens.microcnn import load_checkpoint
-from hybridens.pipeline import _oof_factories, fuse_only, render_table, run_pipeline, score_rows
+from hybridens.microcnn import architecture_ids, load_checkpoint
+from hybridens.pipeline import fuse_only, render_table, run_pipeline, score_rows
 from hybridens.stacking import MetaLearner, oof_predictions, train_meta
 from hybridens.synth import SynthSpec, synth_data
 from hybridens.weighting import optimize_weights
@@ -347,10 +348,15 @@ def test_cli_synth_run_evaluate_and_explain(tmp_path):
     assert list((tmp_path / "xai").glob("*_overlay.ppm"))
 
 
-def test_oof_learner_factories_pickle():
-    factories = _oof_factories(RunConfig(seed=3, **TINY))
-    learner = pickle.loads(pickle.dumps(factories[1]))(2)
-    assert (learner.arch, learner.fold, learner.config.seed) == ("convB", 2, 3)
+def oof_learners(config):
+    """The OOF learners `run_pipeline` passes to `oof_predictions`."""
+    return [functools.partial(pipeline._oof_net, config, a) for a in architecture_ids(config.K)]
+
+
+def test_oof_learners_pickle():
+    learner = pickle.loads(pickle.dumps(oof_learners(RunConfig(seed=3, **TINY))[1]))
+    assert learner.func is pipeline._oof_net
+    assert (learner.args[0].seed, learner.args[1]) == (3, "convB")
 
 
 def test_cli_train_base_writes_what_run_writes(tiny_run, tmp_path):
@@ -431,6 +437,19 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
         assert info.value.code == 2, argv
 
 
+def test_cli_run_exits_2_when_input_side_is_too_small_for_a_layout(tmp_path, capsys):
+    # convA's two 3x3 conv + pool blocks need a side of at least 10.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(dict(TINY, seed=1, input_side=8)))
+    data = tmp_path / "d"
+    synth_data(SynthSpec(subjects_per_class=6, slices_per_subject=1, image_side=16, seed=1), data)
+    capsys.readouterr()
+    assert cli.main(["run", "--config", str(config), "--data", str(data),
+                     "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: stage train-base: input side 8 too small for convA\n", err
+
+
 @pytest.mark.parametrize("field", ["meta_epochs", "meta_lr", "meta_l2"])
 def test_cli_rejects_a_config_with_a_removed_meta_learner_field(tmp_path, capsys, field):
     # meta_ridge replaced the gradient-descent fields; a config that still
@@ -456,10 +475,10 @@ def test_importing_the_package_loads_no_process_pool_machinery():
 
 
 def test_cli_run_exits_4_when_an_oof_learner_fails(tmp_path, monkeypatch, capsys):
-    def diverge(self, fit_samples):
-        raise NumericError(f"loss diverged for {self.arch}")
+    def diverge(config, arch, fold, fit_samples, holdout_samples):
+        raise NumericError(f"loss diverged for {arch}")
 
-    monkeypatch.setattr(pipeline._CnnLearner, "fit", diverge)
+    monkeypatch.setattr(pipeline, "_oof_net", diverge)
     # The patch reaches pool workers only when they are forked; run serially.
     monkeypatch.setattr(pipeline, "_worker_count", lambda jobs: 1)
     data = tmp_path / "d"
@@ -490,7 +509,7 @@ def test_every_job_run_pipeline_submits_pickles(tiny_run, tmp_path, monkeypatch)
     monkeypatch.setattr(pipeline, "job_map", job_map)
     out = tmp_path / "out"
     run_pipeline(RunConfig(seed=21, **TINY), data, out)
-    assert submitted == ["_train_base"] * 3 + ["_fit_predict"] * 6
+    assert submitted == ["_train_net"] * 3 + ["_fit_predict"] * 6
     written = sorted(p.relative_to(run_out) for p in run_out.rglob("*") if p.is_file())
     assert written == sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file())
     for name in written:
@@ -503,10 +522,10 @@ def test_oof_through_a_spawn_pool_matches_the_builtin_map(tmp_path):
     samples = load_image_dir(data, 16)
     ids = list(range(len(samples)))
     folds = assign_folds(samples, ids, 2, seed=5)
-    factories = _oof_factories(RunConfig(seed=5, **TINY))
-    serial = oof_predictions(samples, ids, folds, factories)
+    learners = oof_learners(RunConfig(seed=5, **TINY))
+    serial = oof_predictions(samples, ids, folds, learners)
     with ProcessPoolExecutor(2, mp_context=multiprocessing.get_context("spawn")) as pool:
-        pooled = oof_predictions(samples, ids, folds, factories, pool.map)
+        pooled = oof_predictions(samples, ids, folds, learners, pool.map)
     assert pooled.matrix.tobytes() == serial.matrix.tobytes()
     assert pooled.labels.tolist() == serial.labels.tolist()
     assert pooled.fold_of.tolist() == serial.fold_of.tolist()
@@ -514,20 +533,15 @@ def test_oof_through_a_spawn_pool_matches_the_builtin_map(tmp_path):
     assert pooled.fold_train_ids == serial.fold_train_ids
 
 
-class DyingLearner:
-    """Ends its process in the middle of a fit."""
-
-    def __init__(self, fold):
-        self.fold = fold
-
-    def fit(self, samples):
-        os._exit(1)
+def die_mid_fit(config, arch, fold, fit_samples, holdout_samples):
+    """An OOF learner that ends its process in the middle of a fit."""
+    os._exit(1)
 
 
 def test_a_worker_dying_mid_fit_ends_the_run_in_a_stage_oof_error(tmp_path, monkeypatch):
     # Both patches act in this process, so they hold under any start method.
     monkeypatch.setattr(pipeline, "_worker_count", lambda jobs: 2)
-    monkeypatch.setattr(pipeline, "_oof_factories", lambda config: [DyingLearner] * config.K)
+    monkeypatch.setattr(pipeline, "_oof_net", die_mid_fit)
     data = tmp_path / "d"
     synth_data(SynthSpec(subjects_per_class=6, slices_per_subject=2, image_side=16, seed=1), data)
     # A hang would stall the suite, so the whole process ends after 120 s.

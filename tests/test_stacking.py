@@ -19,18 +19,9 @@ from hybridens.weighting import weighted_predict
 from oracle_utils import fd_gradient, logistic_objective, logistic_objective_gradient, rel_error
 
 
-class MeanLabelLearner:
+def mean_label(fold, fit_samples, holdout_samples):
     """Predicts the mean training label for every query; the OOF hand oracle."""
-
-    def __init__(self, fold):
-        self.fold = fold
-        self.mean = None
-
-    def fit(self, samples):
-        self.mean = float(np.mean([s.label for s in samples]))
-
-    def predict(self, samples):
-        return np.full(len(samples), self.mean)
+    return np.full(len(holdout_samples), float(np.mean([s.label for s in fit_samples])))
 
 
 def make_samples(labels):
@@ -44,7 +35,7 @@ def test_oof_hand_computation_two_folds():
     # mean-label learner trained on the other fold predicts 0.5 everywhere.
     samples = make_samples([1, 1, 0, 0])
     folds = FoldAssignment(fold_of={0: 0, 1: 1, 2: 0, 3: 1}, k=2)
-    table = oof_predictions(samples, [0, 1, 2, 3], folds, [MeanLabelLearner])
+    table = oof_predictions(samples, [0, 1, 2, 3], folds, [mean_label])
     assert np.allclose(table.matrix, 0.5)
     assert table.labels.tolist() == [1, 1, 0, 0]
 
@@ -52,7 +43,7 @@ def test_oof_hand_computation_two_folds():
 def test_oof_no_leakage_provenance():
     samples = make_samples([1, 0, 1, 0, 1, 0])
     folds = FoldAssignment(fold_of={i: i % 3 for i in range(6)}, k=3)
-    table = oof_predictions(samples, list(range(6)), folds, [MeanLabelLearner] * 2)
+    table = oof_predictions(samples, list(range(6)), folds, [mean_label] * 2)
     assert table.audit_leakage() == 0
     for row in range(6):
         assert table.train_ids[row] not in table.training_set_of(row)
@@ -62,7 +53,7 @@ def test_oof_leave_one_out_boundary():
     n = 5
     samples = make_samples([1, 0, 1, 0, 1])
     folds = FoldAssignment(fold_of={i: i for i in range(n)}, k=n)
-    table = oof_predictions(samples, list(range(n)), folds, [MeanLabelLearner])
+    table = oof_predictions(samples, list(range(n)), folds, [mean_label])
     assert table.audit_leakage() == 0
     for fold in range(n):
         assert len(table.fold_train_ids[fold]) == n - 1
@@ -73,49 +64,41 @@ def test_oof_leave_one_out_boundary():
         assert table.matrix[i, 0] == pytest.approx(expected)
 
 
-def test_oof_factory_failure_names_fold():
-    class Exploding(MeanLabelLearner):
-        def fit(self, samples):
-            raise RuntimeError("boom")
+def test_oof_learner_failure_names_fold():
+    def exploding(fold, fit_samples, holdout_samples):
+        raise RuntimeError("boom")
 
     samples = make_samples([1, 0, 1, 0])
     folds = FoldAssignment(fold_of={0: 0, 1: 0, 2: 1, 3: 1}, k=2)
     with pytest.raises(RuntimeError, match="fold 0"):
-        oof_predictions(samples, [0, 1, 2, 3], folds, [Exploding])
+        oof_predictions(samples, [0, 1, 2, 3], folds, [exploding])
 
 
 @pytest.mark.parametrize("error", [ConfigError, DataError, NumericError])
 def test_oof_learner_taxonomy_error_keeps_its_type(error):
-    class Failing(MeanLabelLearner):
-        def fit(self, samples):
-            if self.fold == 1:
-                raise error("no good")
-            super().fit(samples)
+    def failing(fold, fit_samples, holdout_samples):
+        if fold == 1:
+            raise error("no good")
+        return mean_label(fold, fit_samples, holdout_samples)
 
     samples = make_samples([1, 0, 1, 0])
     folds = FoldAssignment(fold_of={0: 0, 1: 0, 2: 1, 3: 1}, k=2)
     with pytest.raises(error, match="base learner 1 failed on fold 1: no good") as info:
-        oof_predictions(samples, [0, 1, 2, 3], folds, [MeanLabelLearner, Failing])
+        oof_predictions(samples, [0, 1, 2, 3], folds, [mean_label, failing])
     assert type(info.value) is error
 
 
-class RecordingLearner(MeanLabelLearner):
+def recording(root, fold, fit_samples, holdout_samples):
     """Touches `fit<fold>` under `root` when it starts fitting.  Fold 1 fails
     late with a NumericError, fold 2 early with a DataError, the rest after a
     short fit."""
-
-    def __init__(self, root, fold):
-        super().__init__(fold)
-        self.root = root
-
-    def fit(self, samples):
-        (self.root / f"fit{self.fold}").touch()
-        if self.fold == 2:
-            raise DataError("fold 2 failed first")
-        time.sleep(0.2 if self.fold == 1 else 0.05)
-        if self.fold == 1:
-            raise NumericError("fold 1 failed last")
-        super().fit(samples)
+    (root / f"fit{fold}").touch()
+    if fold == 2:
+        raise DataError("fold 2 failed first")
+    time.sleep(0.2 if fold == 1 else 0.05)
+    if fold == 1:
+        raise NumericError("fold 1 failed last")
+    return mean_label(fold, fit_samples, holdout_samples)
 
 
 def test_pool_raises_the_lowest_failing_job_and_cancels_the_rest(tmp_path, monkeypatch):
@@ -124,10 +107,10 @@ def test_pool_raises_the_lowest_failing_job_and_cancels_the_rest(tmp_path, monke
     n_folds = 32
     samples = make_samples([i % 2 for i in range(2 * n_folds)])
     folds = FoldAssignment(fold_of={i: i % n_folds for i in range(2 * n_folds)}, k=n_folds)
-    factories = [functools.partial(RecordingLearner, tmp_path)]
+    learners = [functools.partial(recording, tmp_path)]
     with pipeline.job_map(n_folds) as pool_map:
         with pytest.raises(NumericError, match="base learner 0 failed on fold 1: fold 1 failed last"):
-            oof_predictions(samples, list(range(2 * n_folds)), folds, factories, pool_map)
+            oof_predictions(samples, list(range(2 * n_folds)), folds, learners, pool_map)
     # The DataError of fold 2 arrived first; jobs still queued were cancelled.
     assert (tmp_path / "fit2").exists()
     assert len(list(tmp_path.glob("fit*"))) < n_folds

@@ -14,7 +14,7 @@ from hybridens.weighting import (
     sigmoid,
     weighted_predict,
 )
-from oracle_utils import fd_gradient, grid_simplex2_bce, rel_error
+from oracle_utils import fd_gradient, grid_simplex2_bce, rel_error, weight_iterates
 
 
 def test_weighted_predict_one_hot_returns_component():
@@ -154,10 +154,10 @@ def test_optimize_weights_never_worse_than_uniform_and_feasible_iterates():
     for _ in range(10):
         preds = rng.random((25, 4))
         labels = rng.integers(0, 2, 25)
-        fit = optimize_weights(preds, labels, steps=120)
+        fit, iterates = weight_iterates(preds, labels, steps=120)
         uniform = mean_bce(preds @ np.full(4, 0.25), labels)
         assert fit.val_bce <= uniform + 1e-15
-        for it in fit.iterates:
+        for it in iterates:
             assert it.min() >= 0.0
             assert abs(it.sum() - 1.0) <= 1e-12
 
@@ -166,9 +166,12 @@ def test_optimize_weights_objective_non_increasing_along_iterates():
     rng = np.random.default_rng(8)
     preds = rng.random((40, 3))
     labels = rng.integers(0, 2, 40)
-    fit = optimize_weights(preds, labels, steps=200)
-    losses = [mean_bce(preds @ a, labels) for a in fit.iterates]
-    assert all(b <= a + 1e-15 for a, b in zip(losses, losses[1:]))
+    # At step size 50 the first trial of a step raises the objective, so the guard halves it.
+    for step_size in (0.5, 50.0):
+        fit, iterates = weight_iterates(preds, labels, steps=200, step_size=step_size)
+        assert len(iterates) >= fit.steps_used + 1
+        losses = [mean_bce(preds @ a, labels) for a in iterates]
+        assert all(b <= a + 1e-15 for a, b in zip(losses, losses[1:]))
 
 
 def test_optimize_weights_warns_on_single_class():
