@@ -58,7 +58,7 @@ def cmd_train_base(args: argparse.Namespace) -> int:
 
 def cmd_fuse(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    report = pipeline.fuse_only(args.preds, config, args.out, args.holdin_fraction)
+    report = pipeline.fuse_only(args.preds, config, args.out)
     print(pipeline.render_table(report.rows), end="")
     return 0
 
@@ -129,7 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--preds", required=True)
     p.add_argument("--out")
-    p.add_argument("--holdin-fraction", type=float, default=0.5)
     p.set_defaults(func=cmd_fuse)
 
     p = sub.add_parser("evaluate", help="score each column of a prediction CSV")

@@ -55,8 +55,6 @@ class RunConfig:
     input_side: int = 224
     fusion_combine_rule: str = "mean"
     unfreeze_top: int = 1
-    weight_steps: int = 500
-    weight_step_size: float = 0.5
     meta_ridge: float = 1.0
     eval_level: str = "slice"
     task_name: str = "AD_vs_MCI"
@@ -92,10 +90,6 @@ class RunConfig:
             )
         if self.unfreeze_top < 0:
             raise ConfigError("unfreeze_top must be nonnegative")
-        if self.weight_steps < 0:
-            raise ConfigError("weight_steps must be nonnegative")
-        if self.weight_step_size <= 0:
-            raise ConfigError("weight_step_size must be positive")
         if self.meta_ridge < 0:
             raise ConfigError(f"meta_ridge must be nonnegative, got {self.meta_ridge}")
         if self.eval_level not in EVAL_LEVELS:

@@ -101,6 +101,8 @@ def _decode_pgm(raw: bytes, path: Path) -> np.ndarray:
         pixels = np.frombuffer(raw, dtype=dtype, count=count, offset=pos)
     except ValueError as exc:
         raise DataError(f"truncated PGM raster: {path}") from exc
+    if pixels.max() > maxval:
+        raise DataError(f"PGM pixel {pixels.max()} above maxval {maxval}: {path}")
     return pixels.reshape(height, width).astype(np.float64) / float(maxval)
 
 

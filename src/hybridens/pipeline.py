@@ -35,6 +35,7 @@ from .imageio import write_file, write_pgm, write_ppm
 from .seeding import rng_for
 
 SPLIT_RATIOS = (0.6, 0.2, 0.2)
+FIT_FRACTION = 0.5  # share of each class that `fuse_only` fits on
 
 
 @dataclass
@@ -276,6 +277,9 @@ def run_pipeline(
     explain_model: str | None = None,
 ) -> RunReport:
     """Execute the full training/fusion/evaluation/explanation pipeline."""
+    arch_ids = microcnn.architecture_ids(config.K)
+    if explain_model not in (None, *arch_ids):
+        raise ConfigError(f"unknown explain model {explain_model!r} (have {arch_ids})")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -291,12 +295,9 @@ def run_pipeline(
     with job_map(config.K * config.folds) as pool_map:
         with error_context("stage train-base"):
             nets, val_preds, test_preds, _ = train_bases(config, samples, split, out, pool_map)
-            arch_ids = list(nets)
 
         with error_context("stage weights"):
-            fit = weighting.optimize_weights(
-                val_preds, val_labels, config.weight_steps, config.weight_step_size
-            )
+            fit = weighting.optimize_weights(val_preds, val_labels)
             _write_json(out / "weights.json", fit.to_dict())
 
         with error_context("stage oof"):
@@ -330,8 +331,6 @@ def run_pipeline(
                 for k, arch in enumerate(arch_ids)
             }
             explain_model = max(arch_ids, key=lambda a: val_aucs[a])
-        elif explain_model not in nets:
-            raise ConfigError(f"unknown explain model {explain_model!r} (have {arch_ids})")
         combined = model_scores["hybrid"]
         chosen = _pick_explained(test, combined, config.threshold)
         explanation_files = write_explanations(nets[explain_model], chosen, out)
@@ -362,27 +361,23 @@ def run_pipeline(
 
 
 def fuse_only(
-    preds_csv: str | Path,
-    config: RunConfig,
-    out_dir: str | Path | None = None,
-    holdin_fraction: float = 0.5,
+    preds_csv: str | Path, config: RunConfig, out_dir: str | Path | None = None
 ) -> RunReport:
     """Learn fusion from a held-in split of an external prediction table.
 
     Rows are split per class with the run seed; weights and meta-learner are
-    fit on the held-in rows and every model is scored on the remainder.
+    fit on the held-in rows (FIT_FRACTION of each class) and every model
+    is scored on the remainder.
     """
     matrix, labels = load_predictions_csv(preds_csv)
     if matrix.shape[1] != config.K:
         raise ConfigError(f"config K={config.K} but CSV has {matrix.shape[1]} columns")
-    if not 0.0 < holdin_fraction < 1.0:
-        raise ConfigError(f"holdin fraction must be in (0, 1), got {holdin_fraction}")
     rng = rng_for(config.seed, "fuse-split")
     fit_parts, eval_parts = [], []
     for label in (0, 1):
         members = np.flatnonzero(labels == label)
         rng.shuffle(members)
-        cut = int(round(len(members) * holdin_fraction))
+        cut = int(round(len(members) * FIT_FRACTION))
         fit_parts.append(members[:cut])
         eval_parts.append(members[cut:])
     fit_rows, eval_rows = np.sort(np.concatenate(fit_parts)), np.sort(np.concatenate(eval_parts))
@@ -390,9 +385,7 @@ def fuse_only(
         raise DataError("held-in split left an empty side; need more rows")
 
     fit_matrix, fit_labels = matrix[fit_rows], labels[fit_rows]
-    fit = weighting.optimize_weights(
-        fit_matrix, fit_labels, config.weight_steps, config.weight_step_size
-    )
+    fit = weighting.optimize_weights(fit_matrix, fit_labels)
     meta = stacking.train_meta(fit_matrix, fit_labels, config.meta_ridge)
     eval_matrix, eval_labels = matrix[eval_rows], labels[eval_rows]
     names = [f"p{k + 1}" for k in range(matrix.shape[1])]

@@ -2,8 +2,7 @@
 
 For every fold, each base learner is trained on the training samples outside
 that fold and predicts the samples inside it, so no meta-training row was
-ever seen by the model that produced it.  The provenance of every row is
-recorded and auditable.
+ever seen by the model that produced it.  Each row records its fold.
 """
 
 from __future__ import annotations
@@ -23,29 +22,16 @@ MAX_NEWTON_STEPS = 50
 
 @dataclass
 class OofTable:
-    """Out-of-fold probabilities for the training set, with provenance.
+    """Out-of-fold probabilities for the training set.
 
     `matrix[i, k]` is base learner k's prediction for training row i, made by
-    the model trained without fold `fold_of[i]`; `fold_train_ids[f]` records
-    exactly which training indices that model saw.
+    the model trained on the training rows outside fold `fold_of[i]`.
     """
 
     matrix: np.ndarray
     labels: np.ndarray
     train_ids: list[int]
     fold_of: np.ndarray
-    fold_train_ids: dict[int, tuple[int, ...]]
-
-    def training_set_of(self, row: int) -> tuple[int, ...]:
-        return self.fold_train_ids[int(self.fold_of[row])]
-
-    def audit_leakage(self) -> int:
-        """Count rows predicted by a model whose training set contained them."""
-        leaks = 0
-        for row, sample_id in enumerate(self.train_ids):
-            if sample_id in self.training_set_of(row):
-                leaks += 1
-        return leaks
 
 
 @dataclass
@@ -89,14 +75,11 @@ def oof_predictions(
     n = len(train_ids)
     matrix = np.full((n, len(learners)), np.nan)
     row_of = {sample_id: row for row, sample_id in enumerate(train_ids)}
-    fold_train_ids: dict[int, tuple[int, ...]] = {}
     holdouts, jobs = [], []
     for fold in range(folds.k):
         holdout = [i for i in train_ids if folds.fold_of[i] == fold]
-        fit_ids = [i for i in train_ids if folds.fold_of[i] != fold]
-        fold_train_ids[fold] = tuple(fit_ids)
         holdouts.append(holdout)
-        fit_samples = [samples[i] for i in fit_ids]
+        fit_samples = [samples[i] for i in train_ids if folds.fold_of[i] != fold]
         holdout_samples = [samples[i] for i in holdout]
         jobs += [(f, k, fold, fit_samples, holdout_samples) for k, f in enumerate(learners)]
     for (_, k, fold, _, _), preds in zip(jobs, map(_fit_predict, jobs)):
@@ -106,13 +89,7 @@ def oof_predictions(
         raise RuntimeError("out-of-fold matrix has unfilled rows")
     labels = np.array([samples[i].label for i in train_ids], dtype=np.int64)
     fold_of = np.array([folds.fold_of[i] for i in train_ids], dtype=np.int64)
-    return OofTable(
-        matrix=matrix,
-        labels=labels,
-        train_ids=list(train_ids),
-        fold_of=fold_of,
-        fold_train_ids=fold_train_ids,
-    )
+    return OofTable(matrix=matrix, labels=labels, train_ids=list(train_ids), fold_of=fold_of)
 
 
 def meta_predict(m: MetaLearner, p: np.ndarray) -> np.ndarray:

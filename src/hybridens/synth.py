@@ -96,7 +96,3 @@ def synth_data(spec: SynthSpec, out_dir: str | Path) -> Path:
     }
     write_file(root / "blobs.json", json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
     return root
-
-
-def load_blob_truth(data_dir: str | Path) -> dict:
-    return json.loads((Path(data_dir) / "blobs.json").read_text())

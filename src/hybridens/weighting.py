@@ -18,6 +18,8 @@ from .errors import NumericError
 BCE_EPS = 1e-12
 CONVERGENCE_TOL = 1e-10
 MAX_HALVINGS = 30
+MAX_STEPS = 500
+STEP_SIZE = 0.5
 
 
 def weighted_predict(alpha: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -90,13 +92,9 @@ class WeightFit:
         }
 
 
-def optimize_weights(
-    preds: np.ndarray,
-    labels: np.ndarray,
-    steps: int = 500,
-    step_size: float = 0.5,
-) -> WeightFit:
-    """Projected gradient descent from uniform weights.
+def optimize_weights(preds: np.ndarray, labels: np.ndarray) -> WeightFit:
+    """Projected gradient descent from uniform weights: at most MAX_STEPS
+    steps of size STEP_SIZE.
 
     A step that would increase the objective is retried at half the step
     size (up to 30 halvings), so the accepted objective sequence is
@@ -115,13 +113,13 @@ def optimize_weights(
     alpha = np.full(k, 1.0 / k)
     loss = mean_bce(preds @ alpha, labels)
     used = 0
-    for _ in range(steps):
+    for _ in range(MAX_STEPS):
         grad = bce_gradient(alpha, preds, labels)
         if not np.all(np.isfinite(grad)) or not np.isfinite(loss):
             raise NumericError(
                 f"non-finite objective or gradient after {used} accepted steps"
             )
-        size = step_size
+        size = STEP_SIZE
         candidate, cand_loss = alpha, loss
         for _ in range(MAX_HALVINGS):
             trial = project_simplex(alpha - size * grad)

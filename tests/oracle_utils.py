@@ -3,7 +3,8 @@
 These deliberately avoid the library's own code paths: AUC by brute-force
 pair counting, gradients by central finite differences, simplex optima by
 grid search.  Expected values asserted elsewhere were computed with these.
-`weight_iterates` is the exception: it watches the library's own weight fit.
+`weight_iterates` and `recording_learner` are the exceptions: they watch the
+library's own weight fit and out-of-fold jobs.
 """
 
 from __future__ import annotations
@@ -72,10 +73,10 @@ def logistic_objective_gradient(w, b, feats, y, l2: float) -> np.ndarray:
     return np.append(feats.T @ r / len(y) + l2 * w, np.mean(r))
 
 
-def weight_iterates(preds, labels, **kwargs):
-    """`optimize_weights(preds, labels, **kwargs)` and the weights of every
-    step: the fit evaluates `bce_gradient` once per step at the current
-    weights, so the iterates are those arguments, then the returned alpha."""
+def weight_iterates(preds, labels):
+    """`optimize_weights(preds, labels)` and the weights of every step: the
+    fit evaluates `bce_gradient` once per step at the current weights, so
+    the iterates are those arguments, then the returned alpha."""
     seen, gradient = [], weighting.bce_gradient
 
     def recording(alpha, *args):
@@ -84,7 +85,27 @@ def weight_iterates(preds, labels, **kwargs):
 
     weighting.bce_gradient = recording
     try:
-        fit = weighting.optimize_weights(preds, labels, **kwargs)
+        fit = weighting.optimize_weights(preds, labels)
     finally:
         weighting.bce_gradient = gradient
     return fit, seen + [fit.alpha]
+
+
+def recording_learner(learner, calls: list):
+    """`learner`, appending (fold, fit ids, holdout ids) to `calls` on each call."""
+
+    def recording(fold, fit_samples, holdout_samples):
+        calls.append((fold, {s.sample_id for s in fit_samples},
+                      {s.sample_id for s in holdout_samples}))
+        return learner(fold, fit_samples, holdout_samples)
+
+    return recording
+
+
+def assert_holdouts_are_folds(calls: list, samples, train_ids, folds) -> None:
+    """Each recorded holdout is exactly its fold's training samples, and each
+    fit set is the rest of the training samples: the two never overlap."""
+    train = {samples[i].sample_id for i in train_ids}
+    for fold, fit, held in calls:
+        assert held == {samples[i].sample_id for i in train_ids if folds.fold_of[i] == fold}
+        assert held and not fit & held and fit | held == train, fold

@@ -40,11 +40,13 @@ from hybridens.stacking import meta_gradient, oof_predictions, train_meta
 from hybridens.synth import SynthSpec, synth_data
 from hybridens.weighting import bce_gradient, mean_bce
 from oracle_utils import (
+    assert_holdouts_are_folds,
     fd_gradient,
     grid_simplex2_bce,
     logistic_objective,
     logistic_objective_gradient,
     mw_auc,
+    recording_learner,
     rel_error,
     weight_iterates,
 )
@@ -284,20 +286,24 @@ def test_c6_oof_leakage_audit(small_run, monkeypatch):
     folds = assign_folds(samples, split.train_ids, config.folds, config.seed)
     learners = [functools.partial(_oof_net, config, a) for a in microcnn.architecture_ids(config.K)]
     table = oof_predictions(samples, split.train_ids, folds, learners)
-    assert table.audit_leakage() == 0
     assert not np.isnan(table.matrix).any()
     assert len(nets) == config.K * config.folds
-    assert all(fit and held and not fit & held for fit, held in nets)
+    # The builtin map runs the jobs in (fold, k) order.
+    calls = [(j // config.K, fit, held) for j, (fit, held) in enumerate(nets)]
+    assert_holdouts_are_folds(calls, samples, split.train_ids, folds)
+    assert table.fold_of.tolist() == [folds.fold_of[i] for i in split.train_ids]
 
     # leave-one-out boundary: k equals the training-sample count
     loo_samples = [
         LabeledSample(f"s{i}", 0, np.zeros((2, 2)), i % 2) for i in range(6)
     ]
     loo_folds = FoldAssignment(fold_of={i: i for i in range(6)}, k=6)
-    loo = oof_predictions(loo_samples, list(range(6)), loo_folds, [_mean_learner])
-    assert loo.audit_leakage() == 0
-    for fold in range(6):
-        assert len(loo.fold_train_ids[fold]) == 5
+    loo_calls = []
+    loo_learner = recording_learner(_mean_learner, loo_calls)
+    oof_predictions(loo_samples, list(range(6)), loo_folds, [loo_learner])
+    assert [fold for fold, _, _ in loo_calls] == list(range(6))
+    assert_holdouts_are_folds(loo_calls, loo_samples, range(6), loo_folds)
+    assert all(len(fit) == 5 for _, fit, _ in loo_calls)
     rows = table.matrix.shape[0]
     _pass("C6 oof-leakage", f"{rows} rows, {len(nets)} nets + leave-one-out audited")
 

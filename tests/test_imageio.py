@@ -210,6 +210,7 @@ CLEAN_IMAGES = {
 @given(cut=st.integers(0, 2**16), pos=st.integers(0, 2**16), flip=st.integers(0, 255))
 @example(cut=20, pos=0, flip=0)  # a PNG cut inside its IHDR body
 @example(cut=53, pos=3, flip=0x07)  # the PGM with its width flipped from 7 to 0
+@example(cut=53, pos=7, flip=0x03)  # the PGM with its maxval cut from 255 to 155
 def test_damaged_image_reads_or_raises_data_error(tmp_path_factory, fmt, cut, pos, flip):
     clean = CLEAN_IMAGES[fmt]
     raw = bytearray(clean[: cut % (len(clean) + 1)])

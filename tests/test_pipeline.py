@@ -35,7 +35,6 @@ from hybridens.weighting import optimize_weights
 TINY = dict(
     input_side=16, batch_size=16, dropout_rate=0.25, folds=2, freeze_epochs=2,
     finetune_epochs=2, head_learning_rate=1e-2, learning_rate=1e-3,
-    weight_steps=150,
 )
 
 
@@ -156,7 +155,7 @@ def test_pipeline_fusion_matches_fuse_refit(tiny_run):
     _, out, report = tiny_run
     config = RunConfig(**report.config)
     val_matrix, val_labels = load_predictions_csv(out / "preds_val.csv")
-    refit = optimize_weights(val_matrix, val_labels, config.weight_steps, config.weight_step_size)
+    refit = optimize_weights(val_matrix, val_labels)
     assert json.loads((out / "weights.json").read_text())["alpha"] == [
         float(a) for a in refit.alpha
     ]
@@ -431,6 +430,7 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
         ["explain", "--checkpoint", "f.ckpt", "--image", "x.pgm", "--out", "o", "--config", "c"],
         ["explain", "--checkpoint", "f.ckpt", "--image", "x.pgm", "--out", "o", "--seed", "3"],
         ["synth-data", "--out", "o", "--config", "c"],
+        ["fuse", "--preds", "p.csv", "--holdin-fraction", "0.5"],
     ):
         with pytest.raises(SystemExit) as info:
             cli.main(argv)
@@ -450,10 +450,12 @@ def test_cli_run_exits_2_when_input_side_is_too_small_for_a_layout(tmp_path, cap
     assert err == "config error: stage train-base: input side 8 too small for convA\n", err
 
 
-@pytest.mark.parametrize("field", ["meta_epochs", "meta_lr", "meta_l2"])
+@pytest.mark.parametrize(
+    "field", ["meta_epochs", "meta_lr", "meta_l2", "weight_steps", "weight_step_size"])
 def test_cli_rejects_a_config_with_a_removed_meta_learner_field(tmp_path, capsys, field):
-    # meta_ridge replaced the gradient-descent fields; a config that still
-    # names one of them is a configuration error, not a silently ignored key.
+    # meta_ridge replaced the meta-learner's gradient-descent fields, and the
+    # weight fit's step rule is fixed; a config that still names one of these
+    # fields is a configuration error, not a silently ignored key.
     config = tmp_path / "old.json"
     config.write_text(json.dumps({"seed": 1, field: 1}))
     make_fuse_csv(tmp_path / "p.csv")
@@ -463,6 +465,19 @@ def test_cli_rejects_a_config_with_a_removed_meta_learner_field(tmp_path, capsys
     err = capsys.readouterr().err
     assert "unknown config fields" in err and field in err, err
     assert not (tmp_path / "o").exists()
+
+
+def test_cli_run_rejects_an_unknown_explain_model_before_any_work(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(dict(TINY, seed=1)))
+    data = tmp_path / "d"
+    synth_data(SynthSpec(subjects_per_class=6, slices_per_subject=1, image_side=16, seed=1), data)
+    capsys.readouterr()
+    assert cli.main(["run", "--config", str(config), "--data", str(data),
+                     "--out", str(tmp_path / "o"), "--explain-model", "convD"]) == 2
+    assert not (tmp_path / "o").exists()
+    err = capsys.readouterr().err
+    assert err == "config error: unknown explain model 'convD' (have ['convA', 'convB', 'convC'])\n"
 
 
 def test_importing_the_package_loads_no_process_pool_machinery():
@@ -530,7 +545,6 @@ def test_oof_through_a_spawn_pool_matches_the_builtin_map(tmp_path):
     assert pooled.labels.tolist() == serial.labels.tolist()
     assert pooled.fold_of.tolist() == serial.fold_of.tolist()
     assert pooled.train_ids == serial.train_ids
-    assert pooled.fold_train_ids == serial.fold_train_ids
 
 
 def die_mid_fit(config, arch, fold, fit_samples, holdout_samples):
@@ -596,7 +610,7 @@ def test_score_arrays_fuse_and_score_or_raise_a_taxonomy_error(table, ridge):
     matrix, labels = table
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # single-class labels and invalid matmuls warn
-        fit = _unless_taxonomy_error(lambda: optimize_weights(matrix, labels, 50, 0.5))
+        fit = _unless_taxonomy_error(lambda: optimize_weights(matrix, labels))
         meta = _unless_taxonomy_error(lambda: train_meta(matrix, labels, ridge))
     if fit is not None:
         assert np.all(fit.alpha >= 0.0) and abs(fit.alpha.sum() - 1.0) <= 1e-9, fit.alpha

@@ -16,7 +16,14 @@ from hybridens.stacking import (
     train_meta,
 )
 from hybridens.weighting import weighted_predict
-from oracle_utils import fd_gradient, logistic_objective, logistic_objective_gradient, rel_error
+from oracle_utils import (
+    assert_holdouts_are_folds,
+    fd_gradient,
+    logistic_objective,
+    logistic_objective_gradient,
+    recording_learner,
+    rel_error,
+)
 
 
 def mean_label(fold, fit_samples, holdout_samples):
@@ -43,20 +50,23 @@ def test_oof_hand_computation_two_folds():
 def test_oof_no_leakage_provenance():
     samples = make_samples([1, 0, 1, 0, 1, 0])
     folds = FoldAssignment(fold_of={i: i % 3 for i in range(6)}, k=3)
-    table = oof_predictions(samples, list(range(6)), folds, [mean_label] * 2)
-    assert table.audit_leakage() == 0
-    for row in range(6):
-        assert table.train_ids[row] not in table.training_set_of(row)
+    calls = []
+    learner = recording_learner(mean_label, calls)
+    table = oof_predictions(samples, list(range(6)), folds, [learner] * 2)
+    assert sorted(fold for fold, _, _ in calls) == [0, 0, 1, 1, 2, 2]
+    assert_holdouts_are_folds(calls, samples, range(6), folds)
+    assert table.fold_of.tolist() == [i % 3 for i in range(6)]
 
 
 def test_oof_leave_one_out_boundary():
     n = 5
     samples = make_samples([1, 0, 1, 0, 1])
     folds = FoldAssignment(fold_of={i: i for i in range(n)}, k=n)
-    table = oof_predictions(samples, list(range(n)), folds, [mean_label])
-    assert table.audit_leakage() == 0
-    for fold in range(n):
-        assert len(table.fold_train_ids[fold]) == n - 1
+    calls = []
+    table = oof_predictions(samples, list(range(n)), folds, [recording_learner(mean_label, calls)])
+    assert [fold for fold, _, _ in calls] == list(range(n))
+    assert_holdouts_are_folds(calls, samples, range(n), folds)
+    assert all(len(fit) == n - 1 for _, fit, _ in calls)
     # leave-one-out mean-label predictions are computable by hand
     labels = np.array([1, 0, 1, 0, 1])
     for i in range(n):

@@ -7,7 +7,7 @@ import pytest
 
 from hybridens.data import load_image_dir
 from hybridens.errors import ConfigError
-from hybridens.synth import SynthSpec, load_blob_truth, synth_data
+from hybridens.synth import SynthSpec, synth_data
 
 
 def dir_digest(root: Path) -> str:
@@ -58,7 +58,7 @@ def test_zero_noise_mean_intensity_oracle_is_perfect(tmp_path):
 def test_sidecar_records_subject_geometry(tmp_path):
     spec = SynthSpec(subjects_per_class=3, slices_per_subject=2, image_side=24, seed=4)
     root = synth_data(spec, tmp_path / "d")
-    truth = load_blob_truth(root)
+    truth = json.loads((root / "blobs.json").read_text())
     assert truth["seed"] == 4
     assert len(truth["subjects"]) == 6
     for key, entry in truth["subjects"].items():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hybridens import weighting
 from hybridens.errors import NumericError
 from hybridens.weighting import (
     bce_gradient,
@@ -142,19 +143,21 @@ def test_optimize_weights_symmetric_for_identical_columns():
     assert np.allclose(fit.alpha, 1 / 3, atol=1e-12)
 
 
-def test_optimize_weights_zero_steps_returns_uniform():
+def test_optimize_weights_zero_steps_returns_uniform(monkeypatch):
+    monkeypatch.setattr(weighting, "MAX_STEPS", 0)
     preds = np.array([[0.2, 0.8], [0.6, 0.4]])
-    fit = optimize_weights(preds, np.array([0, 1]), steps=0)
+    fit = optimize_weights(preds, np.array([0, 1]))
     assert np.allclose(fit.alpha, 0.5, atol=0)
     assert fit.steps_used == 0
 
 
-def test_optimize_weights_never_worse_than_uniform_and_feasible_iterates():
+def test_optimize_weights_never_worse_than_uniform_and_feasible_iterates(monkeypatch):
+    monkeypatch.setattr(weighting, "MAX_STEPS", 120)
     rng = np.random.default_rng(3)
     for _ in range(10):
         preds = rng.random((25, 4))
         labels = rng.integers(0, 2, 25)
-        fit, iterates = weight_iterates(preds, labels, steps=120)
+        fit, iterates = weight_iterates(preds, labels)
         uniform = mean_bce(preds @ np.full(4, 0.25), labels)
         assert fit.val_bce <= uniform + 1e-15
         for it in iterates:
@@ -162,22 +165,25 @@ def test_optimize_weights_never_worse_than_uniform_and_feasible_iterates():
             assert abs(it.sum() - 1.0) <= 1e-12
 
 
-def test_optimize_weights_objective_non_increasing_along_iterates():
+def test_optimize_weights_objective_non_increasing_along_iterates(monkeypatch):
+    monkeypatch.setattr(weighting, "MAX_STEPS", 200)
     rng = np.random.default_rng(8)
     preds = rng.random((40, 3))
     labels = rng.integers(0, 2, 40)
     # At step size 50 the first trial of a step raises the objective, so the guard halves it.
     for step_size in (0.5, 50.0):
-        fit, iterates = weight_iterates(preds, labels, steps=200, step_size=step_size)
+        monkeypatch.setattr(weighting, "STEP_SIZE", step_size)
+        fit, iterates = weight_iterates(preds, labels)
         assert len(iterates) >= fit.steps_used + 1
         losses = [mean_bce(preds @ a, labels) for a in iterates]
         assert all(b <= a + 1e-15 for a, b in zip(losses, losses[1:]))
 
 
-def test_optimize_weights_warns_on_single_class():
+def test_optimize_weights_warns_on_single_class(monkeypatch):
+    monkeypatch.setattr(weighting, "MAX_STEPS", 5)
     preds = np.random.default_rng(10).random((10, 2))
     with pytest.warns(UserWarning, match="single-class"):
-        optimize_weights(preds, np.ones(10, dtype=int), steps=5)
+        optimize_weights(preds, np.ones(10, dtype=int))
 
 
 def test_optimize_weights_matches_grid_search_k2():
