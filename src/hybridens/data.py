@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import csv
 import io
+import warnings
+from array import array
 from dataclasses import dataclass
-from itertools import chain, islice
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -197,10 +197,6 @@ def load_image_dir(path: str | Path, input_side: int | None = None) -> list[Labe
     return samples
 
 
-# Rows parsed per block; a block's values are checked as whole arrays.
-_CHUNK_ROWS = 4096
-
-
 def load_predictions_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     """Parse an `id[,fold],p1,...,pK,label` CSV into (N, K) probabilities and labels.
 
@@ -209,11 +205,9 @@ def load_predictions_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     offending line, and the earliest one is named first.
     """
     path = Path(path)
-    parts = []  # (values, labels) per block of rows: no list of every row
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            rows = csv.reader(fh)
-            header = next(rows, None)
+            header = next(csv.reader(fh), None)
             if header is None:
                 raise DataError(f"empty predictions CSV: {path}")
             header = [h.strip() for h in header]
@@ -225,61 +219,82 @@ def load_predictions_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
                 raise DataError(
                     f"{path}: probability columns must be {expected}, got {header[lead:-1]}"
                 )
-            k = len(expected)
-            try:
-                while block := list(islice(rows, _CHUNK_ROWS)):
-                    parts.append(_parse_block(block, lead, k))
-            except (ValueError, csv.Error):  # somewhere in this block; name the earliest
-                _raise_first_error(path, lead, k)
+            table = _numpy_table(path, lead, len(expected))
+            if table is None:  # numpy's reader refused the file or could not decide it
+                fh.seek(0)
+                table = _parse_rows(fh, path, lead, len(expected))
     except OSError as exc:
         raise DataError(f"cannot read predictions CSV: {path}") from exc
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not a UTF-8 CSV: {exc}") from exc
     except csv.Error as exc:  # e.g. a field over the reader's size limit
         raise DataError(f"{path}: malformed CSV: {exc}") from exc
-    n = sum(len(y) for _, y in parts)
-    if not n:
+    return table
+
+
+def _numpy_table(path: Path, lead: int, k: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """(matrix, labels) of the rows after the header as numpy's C reader parses
+    them, or None where the row-wise rules must decide.  numpy reads no file
+    named for a compression it would undo, nor one whose raw bytes hold
+    - a NUL, which numpy drops from the end of a string, or a byte 0x1c-0x1f,
+      which numpy strips from around a number and float() does not;
+    - a block of half csv.field_size_limit() bytes (at most 64 KB) with no LF,
+      since a line over the limit fills one and numpy has no field size limit;
+    - a double quote, since a quoted field may span lines and so pass the
+      limit unseen.
+    The table is kept if every label is exactly "0" or "1" and every
+    probability lies in [0, 1]."""
+    if path.suffix in (".bz2", ".gz", ".lzma", ".xz"):
+        return None
+    step = max(1, min(csv.field_size_limit() // 2, 1 << 16))
+    with open(path, "rb") as raw:
+        while chunk := raw.read(step):
+            if b"\n" not in chunk or any(b in chunk for b in b'\0\x1c\x1d\x1e\x1f"'):
+                return None
+    # A bytes label takes a quarter of the memory; numpy refuses a non-Latin-1 one.
+    dtype = [("lead", "U1", (lead,)), ("p", "f8", (k,)), ("label", "S2")]
+    try:
+        with warnings.catch_warnings():  # an empty body: the row-wise parser words it
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            table = np.loadtxt(path, dtype=dtype, delimiter=",", comments=None, skiprows=1,
+                               encoding="utf-8", ndmin=1)
+    except (OSError, ValueError):  # a row numpy cannot read, or a byte that is not UTF-8
+        return None
+    values, labels = table["p"], table["label"]
+    ones = labels == b"1"
+    if (not len(table) or not (ones | (labels == b"0")).all()
+            or not ((values >= 0.0) & (values <= 1.0)).all()):  # NaN fails too
+        return None
+    values = np.ascontiguousarray(values)
+    del table, labels  # before the labels' int64 copy
+    return values, ones.astype(np.int64)
+
+
+def _parse_rows(fh, path: Path, lead: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The row-wise rules: parse `fh` from its header on, one `csv` row at a
+    time, and raise for the first bad row, or let the decoding or CSV error
+    met before any bad row propagate."""
+    values, labels = array("d"), array("q")
+    for lineno, row in enumerate(csv.reader(fh), start=1):
+        if lineno == 1 or not row:  # the header, checked by the caller, or a blank row
+            continue
+        if len(row) != lead + k + 1:
+            raise DataError(f"{path}:{lineno}: expected {lead + k + 1} fields, got {len(row)}")
+        try:
+            probs = list(map(float, row[lead:-1]))
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: non-numeric probability") from exc
+        for v in probs:
+            if not 0.0 <= v <= 1.0:
+                raise DataError(f"{path}:{lineno}: probability {v} outside [0, 1]")
+        label = row[-1].strip()
+        if label not in ("0", "1"):
+            raise DataError(f"{path}:{lineno}: label must be 0 or 1, got {row[-1]!r}")
+        values.extend(probs)
+        labels.append(label == "1")
+    if not labels:
         raise DataError(f"no data rows in predictions CSV: {path}")
-    matrix = np.concatenate([v for v, _ in parts]).reshape(n, k)
-    return matrix, np.concatenate([y for _, y in parts]).astype(np.int64)
-
-
-def _parse_block(block: list[list[str]], lead: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """(values, labels) of a block of rows, blank ones skipped; ValueError if
-    any row breaks the schema."""
-    rows = list(filter(None, block))
-    labels = list(map(str.strip, map(itemgetter(-1), rows)))
-    if set(map(len, rows)) - {lead + k + 1} or set(labels) - {"0", "1"}:
-        raise ValueError("a row breaks the schema")
-    cells = chain.from_iterable(map(itemgetter(slice(lead, -1)), rows))
-    values = np.fromiter(map(float, cells), dtype=np.float64, count=len(rows) * k)
-    if not ((values >= 0.0) & (values <= 1.0)).all():  # NaN fails too
-        raise ValueError("a probability is outside [0, 1]")
-    return values, np.fromiter(map("1".__eq__, labels), dtype=bool, count=len(labels))
-
-
-def _raise_first_error(path: Path, lead: int, k: int) -> None:
-    """Re-read `path` row by row and raise for its first bad row, or let the
-    decoding or CSV error that comes before any bad row propagate."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = csv.reader(fh)
-        next(rows)
-        for lineno, row in enumerate(rows, start=2):
-            if not row:
-                continue
-            if len(row) != lead + k + 1:
-                raise DataError(f"{path}:{lineno}: expected {lead + k + 1} fields, got {len(row)}")
-            try:
-                values = list(map(float, row[lead:-1]))
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: non-numeric probability") from exc
-            for v in values:
-                if not 0.0 <= v <= 1.0:
-                    raise DataError(f"{path}:{lineno}: probability {v} outside [0, 1]")
-            label = row[-1].strip()
-            if label not in ("0", "1"):
-                raise DataError(f"{path}:{lineno}: label must be 0 or 1, got {row[-1]!r}")
-    raise DataError(f"{path}: changed while being read")
+    return np.array(values).reshape(-1, k), np.array(labels)
 
 
 def save_predictions_csv(

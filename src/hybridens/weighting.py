@@ -99,7 +99,8 @@ def optimize_weights(preds: np.ndarray, labels: np.ndarray) -> WeightFit:
     A step that would increase the objective is retried at half the step
     size (up to 30 halvings), so the accepted objective sequence is
     non-increasing and the returned weights never score worse than uniform.
-    Stops early once the iterate moves less than 1e-10 in max norm.
+    Stops early once the iterate moves less than 1e-10 in max norm, and
+    warns if MAX_STEPS accepted steps did not get there.
     """
     preds = np.asarray(preds, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -135,4 +136,6 @@ def optimize_weights(preds: np.ndarray, labels: np.ndarray) -> WeightFit:
         alpha, loss = candidate, cand_loss
         if moved < CONVERGENCE_TOL:
             break
+    else:
+        warnings.warn(f"ensemble weights stopped at the step limit ({MAX_STEPS}) before converging")
     return WeightFit(alpha=alpha, val_bce=loss, steps_used=used)

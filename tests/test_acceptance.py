@@ -8,6 +8,7 @@ import functools
 import hashlib
 import json
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -102,7 +103,9 @@ def test_c2_fusion_dominance_on_synthetic_data(tmp_path):
             data,
         )
         config = RunConfig(seed=seed, **DESK_CONFIG)
-        report = run_pipeline(config, data, tmp_path / f"o{seed}")
+        with warnings.catch_warnings():  # each weight fit converges (52 to 485 steps)
+            warnings.filterwarnings("error", "ensemble weights stopped at the step limit")
+            report = run_pipeline(config, data, tmp_path / f"o{seed}")
         acc = {r["model"]: r["acc"] for r in report.rows}
         area = {r["model"]: r["auc"] for r in report.rows}
         base_acc = max(acc[m] for m in ("convA", "convB", "convC"))

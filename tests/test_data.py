@@ -1,4 +1,5 @@
 import csv
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -234,7 +235,7 @@ def test_predictions_csv_streams_so_an_earlier_bad_row_is_named_first(tmp_path):
         load_predictions_csv(path)
 
 
-CHUNK = data._CHUNK_ROWS
+CHUNK = 4096  # rows, about 70 KB: each bad line below lies past the first 64 KB block
 
 
 def good_rows(n):
@@ -260,22 +261,26 @@ def test_predictions_csv_names_the_earliest_bad_line_across_blocks(tmp_path, bod
         load_predictions_csv(path)
 
 
-def test_predictions_csv_that_changes_between_reads_is_a_data_error(tmp_path, monkeypatch):
-    """A block that failed its checks but whose rows all pass on the second,
-    row-by-row read means the file changed in between; that is still a DataError."""
-    path = tmp_path / "p.csv"
-    path.write_bytes(b"id,p1,p2,label\n" + good_rows(3))
-    monkeypatch.setattr(data, "_parse_block", lambda *args: float("x"))
-    with pytest.raises(DataError, match=r"p\.csv: changed while being read"):
-        load_predictions_csv(path)
-
-
 def test_predictions_csv_blocks_join_in_order(tmp_path):
     path = tmp_path / "p.csv"
     path.write_bytes(b"id,p1,p2,label\n" + good_rows(CHUNK - 2) + b"\n" * 4 + good_rows(CHUNK))
     matrix, labels = load_predictions_csv(path)
     assert matrix.shape == (2 * CHUNK - 2, 2) and np.all(matrix == [0.5, 0.25])
     assert labels.tolist() == [i % 2 for i in range(CHUNK - 2)] + [i % 2 for i in range(CHUNK)]
+
+
+def test_predictions_csv_written_by_hybridens_skips_the_row_wise_parser(tmp_path, monkeypatch):
+    """numpy's reader alone takes what save_predictions_csv writes, the fold
+    column included, and CRLF line ends."""
+    monkeypatch.setattr(data, "_parse_rows", mock.Mock(side_effect=AssertionError))
+    rng = np.random.default_rng(3)
+    matrix, labels = rng.random((50, 3)), rng.integers(0, 2, 50)
+    path = tmp_path / "p.csv"
+    save_predictions_csv(path, matrix, labels, [f"pos/s{i:03d}_00.pgm" for i in range(50)], labels)
+    back, back_labels = load_predictions_csv(path)
+    assert np.array_equal(back, matrix) and np.array_equal(back_labels, labels)
+    path.write_bytes(CLEAN_CSV)
+    assert load_predictions_csv(path)[1].tolist() == [1, 0, 1, 0, 1]
 
 
 def test_predictions_csv_reads_past_a_fold_column(tmp_path):
@@ -340,3 +345,81 @@ def test_damaged_predictions_csv_parses_or_raises_data_error(tmp_path_factory, c
         return
     assert matrix.shape[0] == len(labels)
     assert np.all((matrix >= 0.0) & (matrix <= 1.0)) and set(labels.tolist()) <= {0, 1}
+
+
+def read_outcome(path):
+    """(matrix, labels) from load_predictions_csv, or its DataError message."""
+    try:
+        return load_predictions_csv(path)
+    except DataError as exc:
+        return str(exc)
+
+
+VALID_IDS = st.sampled_from(["a", "r00001", "", '"a,b"', '"a""b"', 'a"b'])
+VALID_PROBS = st.one_of(
+    st.floats(0.0, 1.0).map(repr),
+    st.sampled_from(["0", "1", "-0.0", ".5", "1e-400", '"0.25"', " 0.75 ", "\f0.25\v", "\t1"]),
+)
+VALID_LABELS = st.sampled_from(["0", "1", '"1"'])
+ODD_CELLS = st.one_of(
+    st.sampled_from([
+        " 1", "0\t", "1.0", "+1", "01", "1\x00", "\x1c0.5", "0.5\x1f", "0.1_2", "\u0661", "nan",
+        "inf", "1.5", "", "x", "0.5,0.5", '"a\nb"', '"a\r\nb"', '"0.5\n"', '"1', "\xa00.5",
+        "0.5\u2028", "\x850.5",
+    ]),
+    st.text(max_size=3),
+)
+LINE_ENDS = st.sampled_from(["\n", "\r\n", "\n", "\r\n", "\r", "\n\n"])  # mostly one line a row
+
+
+@st.composite
+def prediction_csvs(draw):
+    """A header and up to four rows of valid cells, where a row may have one
+    cell replaced by an odd one, and every line end is drawn."""
+    fold = draw(st.booleans())
+    text = ("id,fold,p1,p2,label" if fold else "id,p1,p2,label") + draw(LINE_ENDS)
+    for _ in range(draw(st.integers(0, 4))):
+        row = [draw(VALID_IDS)] + ["1"] * fold + [draw(VALID_PROBS), draw(VALID_PROBS),
+                                                    draw(VALID_LABELS)]
+        if draw(st.integers(0, 2)) == 0:
+            row[draw(st.integers(0, len(row) - 1))] = draw(ODD_CELLS)
+        text += ",".join(row) + draw(LINE_ENDS)
+    return text.encode()
+
+
+HEAD = b"id,p1,p2,label\n"
+
+
+@settings(max_examples=400, deadline=None)
+@given(raw=prediction_csvs())
+# Each example is a place where numpy's reader and the row-wise rules part:
+@example(raw=HEAD + b"a,0.5,0.5,1\x00\n")  # numpy drops a string's trailing NUL
+@example(raw=HEAD + b"i" * 131_073 + b",0.5,0.5,1\n")  # numpy has no field size limit
+@example(raw=HEAD + b'"' + b"i\n" * 65_537 + b'",0.5,0.5,1\n')  # nor across lines
+@example(raw=HEAD + b'"x,0.5,0.5,1\ny",0.5,0.5,0\n')  # one record over two full-width lines
+@example(raw=HEAD + b"a,0.5,0.5,1.0\n")  # a float parse takes these labels
+@example(raw=HEAD + b"a,0.5,0.5,+1\n")
+@example(raw=HEAD + b"a,0.5,0.5,01\n")
+@example(raw=b"id,p1,p2,p3,label\na,0.1,0.2,0.3,1,0.5\n")  # a sixth column
+@example(raw=HEAD + b"a,0.1_2,0.5,1\n")  # float() takes these, numpy does not
+@example(raw=HEAD + "a,0.5,\u0661,1\n".encode())
+@example(raw=HEAD + b"a,\f0.5\v,0.25,1\n")
+@example(raw=HEAD + b"a,\x1c0.5,0.25,1\n")  # numpy strips \x1c-\x1f, float() does not
+@example(raw=b"id,p1,p2,label\ra,0.5,0.25,1\rb,0.5,0.5,0\r")
+@example(raw=HEAD + b'"a,b",0.5,0.25,1\n"a""b",0.5,0.5,0\n"a\nb",0.25,0.5,1\n')
+@example(raw=HEAD + b"a,0.5,0.\xff5,1\n")
+@example(raw=HEAD + b"a,0.5,nan,1\n")  # numpy's only value check is the range
+def test_predictions_csv_reader_matches_the_row_wise_rules(tmp_path_factory, raw):
+    """numpy's reader decides nothing on its own: with it or without it (the
+    row-wise parser alone), a file gives the same bits or the same message."""
+    path = tmp_path_factory.mktemp("diff") / "p.csv"
+    path.write_bytes(raw)
+    got = read_outcome(path)
+    with mock.patch.object(data, "_numpy_table", lambda *args: None):
+        want = read_outcome(path)
+    if isinstance(got, str) or isinstance(want, str):
+        assert got == want
+        return
+    for have, ref in zip(got, want):
+        assert have.dtype == ref.dtype and have.shape == ref.shape
+        assert have.tobytes() == ref.tobytes()  # np.array_equal, and the sign of -0.0

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -146,11 +147,13 @@ def test_optimize_weights_symmetric_for_identical_columns():
 def test_optimize_weights_zero_steps_returns_uniform(monkeypatch):
     monkeypatch.setattr(weighting, "MAX_STEPS", 0)
     preds = np.array([[0.2, 0.8], [0.6, 0.4]])
-    fit = optimize_weights(preds, np.array([0, 1]))
+    with pytest.warns(UserWarning, match=r"step limit \(0\)"):
+        fit = optimize_weights(preds, np.array([0, 1]))
     assert np.allclose(fit.alpha, 0.5, atol=0)
     assert fit.steps_used == 0
 
 
+@pytest.mark.filterwarnings("ignore:ensemble weights stopped at the step limit")
 def test_optimize_weights_never_worse_than_uniform_and_feasible_iterates(monkeypatch):
     monkeypatch.setattr(weighting, "MAX_STEPS", 120)
     rng = np.random.default_rng(3)
@@ -165,6 +168,7 @@ def test_optimize_weights_never_worse_than_uniform_and_feasible_iterates(monkeyp
             assert abs(it.sum() - 1.0) <= 1e-12
 
 
+@pytest.mark.filterwarnings("ignore:ensemble weights stopped at the step limit")
 def test_optimize_weights_objective_non_increasing_along_iterates(monkeypatch):
     monkeypatch.setattr(weighting, "MAX_STEPS", 200)
     rng = np.random.default_rng(8)
@@ -179,11 +183,24 @@ def test_optimize_weights_objective_non_increasing_along_iterates(monkeypatch):
         assert all(b <= a + 1e-15 for a, b in zip(losses, losses[1:]))
 
 
+@pytest.mark.filterwarnings("ignore:ensemble weights stopped at the step limit")
 def test_optimize_weights_warns_on_single_class(monkeypatch):
     monkeypatch.setattr(weighting, "MAX_STEPS", 5)
     preds = np.random.default_rng(10).random((10, 2))
     with pytest.warns(UserWarning, match="single-class"):
         optimize_weights(preds, np.ones(10, dtype=int))
+
+
+def test_optimize_weights_warns_when_it_stops_at_the_step_limit(monkeypatch):
+    rng = np.random.default_rng(8)
+    preds = rng.random((40, 3))
+    labels = rng.integers(0, 2, 40)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a fit that converges does not warn
+        assert optimize_weights(preds, labels).steps_used > 2
+    monkeypatch.setattr(weighting, "MAX_STEPS", 2)
+    with pytest.warns(UserWarning, match=r"step limit \(2\) before converging"):
+        assert optimize_weights(preds, labels).steps_used == 2
 
 
 def test_optimize_weights_matches_grid_search_k2():
