@@ -58,7 +58,8 @@ def roc_curve(labels, scores) -> RocCurve:
     Equal scores collapse into a single threshold step, which draws tied
     positive/negative groups as diagonal segments; together with the
     trapezoid rule this makes the curve's area exactly the Mann-Whitney
-    statistic with ties counted one half.
+    statistic with ties counted one half.  The order inside a run of equal
+    scores changes neither `fp` nor `tp`, so the sort need not be stable.
     """
     labels = np.asarray(labels, dtype=np.int64)
     scores = np.asarray(scores, dtype=np.float64)
@@ -72,7 +73,7 @@ def roc_curve(labels, scores) -> RocCurve:
         raise DataError("ROC labels must be 0 or 1")
     if n_pos == 0 or n_neg == 0:
         raise DataError("ROC needs both classes present")
-    order = np.argsort(-scores, kind="stable")
+    order = np.argsort(-scores)
     ranked = scores[order]
     tp = np.cumsum(labels[order] == 1, dtype=np.int64)
     # The last index of each run of equal scores closes one threshold step.
@@ -93,27 +94,26 @@ def roc_points_csv(curve: RocCurve, texts: dict | None = None) -> str:
     fills and reads; curves that share it format each fraction once.
     """
     texts = {} if texts is None else texts
-    cells = [_fraction_texts(counts, texts) for counts in (curve.fp, curve.tp)]
-    return "fpr,tpr\n" + "\n".join(map(",".join, zip(*cells))) + "\n"
+    fpr, tpr = (_fraction_texts(counts, texts) for counts in (curve.fp, curve.tp))
+    # One fixed-width row per point; no `repr` holds the padding spaces dropped here.
+    rows = np.zeros(fpr.size, [("fpr", fpr.dtype), ("sep", "S1"), ("tpr", tpr.dtype), ("nl", "S1")])
+    rows["fpr"], rows["sep"], rows["tpr"], rows["nl"] = fpr, b",", tpr, b"\n"
+    del fpr, tpr  # copied into the rows: free them before the mask is made
+    rows = rows.view(np.uint8)
+    return "fpr,tpr\n" + str(memoryview(rows[rows != ord(" ")]), "ascii")
 
 
 def _fraction_texts(counts: np.ndarray, texts: dict) -> np.ndarray:
-    """The `repr` of each `counts[i] / counts[-1]`, formatting only the counts
-    that `texts[counts[-1]]` lacks and adding them there.
-
-    A table entry is (sorted counts, their texts), closed by the sentinel
-    count n + 1 so that every count finds a slot with `searchsorted`.
-    """
+    """The space-padded `repr` of each `counts[i] / counts[-1]`, from `texts[counts[-1]]`:
+    a bytes array indexed by count, holding `b""` where not yet formatted, which this fills."""
     n = int(counts[-1])
-    known, known_texts = texts.get(n, (np.array([n + 1]), np.array([""], dtype=object)))
+    # 22 bytes hold the longest `repr` of k/n for any 0 <= k <= n < 10**99.
+    table = texts.setdefault(n, np.zeros(n + 1, dtype="S22"))
     # Sorted: the first of each run of equal neighbours lists every count once.
     distinct = counts[np.append(True, counts[1:] != counts[:-1])]
-    at = np.searchsorted(known, distinct)
-    missing = known[at] != distinct
-    if missing.any():
-        new, at = distinct[missing], at[missing]
-        fresh = repr((new / n).tolist())[1:-1].split(", ")
-        known = np.insert(known, at, new)
-        known_texts = np.insert(known_texts, at, np.array(fresh, dtype=object))
-        texts[n] = (known, known_texts)
-    return known_texts[np.searchsorted(known, counts)]
+    new = distinct[table[distinct] == b""]
+    if new.size:
+        fresh = f"%-{table.itemsize}r" * new.size % tuple((new / n).tolist())
+        assert len(fresh) == table.itemsize * new.size, "a longer text would shift those after it"
+        table[new] = np.frombuffer(fresh.encode("ascii"), dtype=table.dtype)
+    return table[counts]

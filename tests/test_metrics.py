@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from hybridens.errors import DataError
 from hybridens.metrics import acc_sen_spe, auc, roc_curve, roc_points_csv
-from hybridens.pipeline import roc_curves, score_rows
+from hybridens.pipeline import roc_curves, score_rows, write_rocs
 from oracle_utils import mw_auc
 
 
@@ -203,9 +203,8 @@ def _bits(values):
     return np.asarray(values, dtype=np.float64).tobytes()
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.sampled_from(["rounded", "signed_zeros", "few", "normal"]))
-def test_roc_auc_and_csv_match_the_scalar_sweep_bit_for_bit(seed, kind):
+def _labels_and_scores(seed, kind):
+    """Both classes and up to 199 scores of one kind; all but "normal" tie."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 200))
     labels = rng.integers(0, 2, n)
@@ -216,6 +215,13 @@ def test_roc_auc_and_csv_match_the_scalar_sweep_bit_for_bit(seed, kind):
         "few": lambda: rng.choice(rng.standard_normal(3), n),
         "normal": lambda: rng.standard_normal(n),
     }[kind]()
+    return labels, scores, rng
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["rounded", "signed_zeros", "few", "normal"]))
+def test_roc_auc_and_csv_match_the_scalar_sweep_bit_for_bit(seed, kind):
+    labels, scores, _ = _labels_and_scores(seed, kind)
     ref = _scalar_roc_points(labels, scores)
     curve = roc_curve(labels, scores)
     assert _bits(curve.fpr) == _bits([x for x, _ in ref])
@@ -234,3 +240,39 @@ def test_two_point_curves_match_the_scalar_sweep(labels, scores):
     assert len(ref) == 2 and points(curve) == ref
     assert auc(curve) == _scalar_auc(ref) == 0.5
     assert roc_points_csv(curve) == _scalar_csv(ref) == "fpr,tpr\n0.0,0.0\n1.0,1.0\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["rounded", "signed_zeros", "few"]))
+def test_tie_order_cannot_change_the_curve(seed, kind):
+    """`roc_curve` sorts without `kind="stable"`: permuting the rows reorders
+    the members of each run of equal scores, and must not move a point."""
+    labels, scores, rng = _labels_and_scores(seed, kind)
+    perm = rng.permutation(labels.size)
+    base, permuted = roc_curve(labels, scores), roc_curve(labels[perm], scores[perm])
+    assert base.fp.tobytes() == permuted.fp.tobytes()
+    assert base.tp.tobytes() == permuted.tp.tobytes()
+
+
+def test_roc_csv_writes_exponent_cells_like_the_scalar_sweep(tmp_path):
+    """20,011 negatives, each at its own score: fpr 1/20011 and 2/20011 are
+    below 1e-4, so their `repr` is in exponent form, and 3/20011, like some
+    other fractions in [1e-4, 1e-3), fills all 22 bytes of a cell."""
+    n_neg, positions = 20_011, [0, 3, 9_000, 20_014]
+    labels = np.zeros(n_neg + len(positions), dtype=np.int64)
+    labels[positions] = 1
+    scores = -np.arange(labels.size, dtype=np.float64)
+    ref = _scalar_roc_points(labels, scores)
+    curve = roc_curve(labels, scores)
+    text = roc_points_csv(curve)
+    assert text == _scalar_csv(ref)
+    cells = [cell for line in text.splitlines()[1:] for cell in line.split(",")]
+    assert cells[4] == repr(1 / n_neg) == "4.997251511668582e-05"
+    assert max(map(len, cells)) == len(repr(3 / n_neg)) == 22
+    # A second curve of the same labels shares the denominators' tables.
+    curves = {"a": curve, "b": roc_curve(labels, scores[::-1])}
+    files = write_rocs(tmp_path, curves)
+    for name, other in curves.items():
+        assert (tmp_path / files[name]).read_text() == roc_points_csv(other)
+    assert (tmp_path / files["b"]).read_text() == _scalar_csv(
+        _scalar_roc_points(labels, scores[::-1]))
