@@ -63,6 +63,7 @@ def cmd_fuse(args: argparse.Namespace) -> int:
     return 0
 
 
+@pipeline.returns_free_heap
 def cmd_evaluate(args: argparse.Namespace) -> int:
     config = _load_config(args)
     matrix, labels = load_predictions_csv(args.preds)

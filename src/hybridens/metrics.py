@@ -95,12 +95,15 @@ def roc_points_csv(curve: RocCurve, texts: dict | None = None) -> str:
     """
     texts = {} if texts is None else texts
     fpr, tpr = (_fraction_texts(counts, texts) for counts in (curve.fp, curve.tp))
-    # One fixed-width row per point; no `repr` holds the padding spaces dropped here.
-    rows = np.zeros(fpr.size, [("fpr", fpr.dtype), ("sep", "S1"), ("tpr", tpr.dtype), ("nl", "S1")])
-    rows["fpr"], rows["sep"], rows["tpr"], rows["nl"] = fpr, b",", tpr, b"\n"
-    del fpr, tpr  # copied into the rows: free them before the mask is made
-    rows = rows.view(np.uint8)
-    return "fpr,tpr\n" + str(memoryview(rows[rows != ord(" ")]), "ascii")
+    parts = ["fpr,tpr\n"]
+    # One fixed-width row per point, 2**16 rows (3 MiB) at a time: numpy madvises huge pages
+    # from 4 MiB, which made the peak RSS jump by 10 MB from one run to the next.
+    for f, t in zip(*(np.split(a, range(1 << 16, a.size, 1 << 16)) for a in (fpr, tpr))):
+        rows = np.zeros(f.size, [("fpr", f.dtype), ("sep", "S1"), ("tpr", t.dtype), ("nl", "S1")])
+        rows["fpr"], rows["sep"], rows["tpr"], rows["nl"] = f, b",", t, b"\n"
+        rows = rows.view(np.uint8)  # no `repr` holds the padding spaces dropped here
+        parts.append(str(memoryview(rows[rows != ord(" ")]), "ascii"))
+    return "".join(parts)
 
 
 def _fraction_texts(counts: np.ndarray, texts: dict) -> np.ndarray:

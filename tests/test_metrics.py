@@ -276,3 +276,12 @@ def test_roc_csv_writes_exponent_cells_like_the_scalar_sweep(tmp_path):
         assert (tmp_path / files[name]).read_text() == roc_points_csv(other)
     assert (tmp_path / files["b"]).read_text() == _scalar_csv(
         _scalar_roc_points(labels, scores[::-1]))
+
+
+def test_roc_csv_joins_its_row_blocks_like_the_scalar_sweep():
+    """131,075 points: two full blocks of 2**16 rows and three rows after them."""
+    labels = np.random.default_rng(5).integers(0, 2, (1 << 17) + 2)
+    scores = -np.arange(labels.size, dtype=np.float64)
+    ref = _scalar_roc_points(labels, scores)
+    assert len(ref) == 2 * (1 << 16) + 3
+    assert roc_points_csv(roc_curve(labels, scores)) == _scalar_csv(ref)

@@ -262,6 +262,22 @@ def test_each_model_curve_is_built_once(tmp_path, monkeypatch):
     assert len(list((tmp_path / "ev").glob("roc_*.csv"))) == 3
 
 
+
+def test_fuse_and_evaluate_trim_the_heap_when_they_return(tmp_path, monkeypatch):
+    """Each call hands the C heap's free pages back once, on success or error."""
+    trims = []
+    monkeypatch.setattr(pipeline, "_malloc_trim", trims.append)
+    rng = np.random.default_rng(2)
+    path = tmp_path / "p.csv"
+    save_predictions_csv(path, rng.random((60, 3)), rng.integers(0, 2, 60), list("x" * 60))
+    assert len(fuse_only(path, RunConfig(seed=2), tmp_path / "fuse").rows) == 6
+    assert trims == [0]
+    assert cli.main(["evaluate", "--preds", str(path), "--out", str(tmp_path / "ev")]) == 0
+    assert trims == [0, 0]
+    with pytest.raises(DataError):
+        fuse_only(tmp_path / "missing.csv", RunConfig(seed=2))
+    assert trims == [0, 0, 0]
+
 def make_fuse_csv(path, n=80, seed=0, perfect_first=False):
     rng = np.random.default_rng(seed)
     labels = rng.integers(0, 2, n)
