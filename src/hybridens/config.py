@@ -109,10 +109,10 @@ class RunConfig:
     @classmethod
     def from_json(cls, path: str | Path) -> "RunConfig":
         try:
-            doc = json.loads(Path(path).read_text())
+            doc = json.loads(Path(path).read_text(encoding="utf-8"))
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {path}") from exc
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
             raise ConfigError(f"config file is not valid JSON: {path}: {exc}") from exc
         if not isinstance(doc, dict):
             raise ConfigError(f"config JSON must be an object: {path}")

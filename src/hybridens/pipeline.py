@@ -131,15 +131,8 @@ def score_rows(
             y = np.array([labels[m][-1] for m in members], dtype=np.int64)
         acc, sen, spe = metrics.acc_sen_spe(y, s > tau)
         area = metrics.auc(curves[name] if eval_level == "slice" else metrics.roc_curve(y, s))
-        rows.append(
-            {
-                "model": name,
-                "acc": _json_value(acc),
-                "sen": _json_value(sen),
-                "spe": _json_value(spe),
-                "auc": _json_value(area),
-            }
-        )
+        rows.append({"model": name, "acc": _json_value(acc), "sen": _json_value(sen),
+                     "spe": _json_value(spe), "auc": _json_value(area)})
     return rows
 
 

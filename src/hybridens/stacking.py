@@ -14,10 +14,7 @@ import numpy as np
 
 from .data import FoldAssignment, LabeledSample
 from .errors import NumericError, error_context
-from .weighting import MAX_HALVINGS, sigmoid
-
-GRAD_TOL = 1e-10
-MAX_NEWTON_STEPS = 50
+from .weighting import GRAD_TOL, MAX_NEWTON_STEPS, halving_rate, sigmoid
 
 
 @dataclass
@@ -166,17 +163,12 @@ def train_meta(
         c = np.where(flip, dz, -dz)  # the folded logit moves by rate * c
         y_folded = np.where(flip, 1.0 - y, y)
         dw2, wdw = float(d[:k] @ d[:k]), float(w @ d[:k])
-        rate = 1.0
-        for _ in range(MAX_HALVINGS):
-            v = rate * c
-            change = np.mean(np.log1p(small * np.expm1(v)) - y_folded * v)
-            if change + l2 * rate * (0.5 * rate * dw2 - wdw) <= 0.0:
-                w, b = w - rate * d[:k], b - rate * float(d[k])
-                z = feats @ w + b
-                break
-            rate *= 0.5
-        else:  # no halving lowered the objective
+        rate = halving_rate(lambda r: np.mean(np.log1p(small * np.expm1(r * c)) - y_folded * r * c)
+                            + l2 * r * (0.5 * r * dw2 - wdw))
+        if rate is None:  # no halving lowered the objective
             break
+        w, b = w - rate * d[:k], b - rate * float(d[k])
+        z = feats @ w + b
     return MetaLearner(w=w, b=b)
 
 

@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's own code paths: AUC by brute-force
 pair counting, gradients by central finite differences, simplex optima by
-grid search.  Expected values asserted elsewhere were computed with these.
+grid search and by their optimality conditions.  Expected values asserted
+elsewhere were computed with these.
 `weight_iterates` and `recording_learner` are the exceptions: they watch the
 library's own weight fit and out-of-fold jobs.
 """
@@ -59,6 +60,19 @@ def grid_simplex2_bce(preds: np.ndarray, labels: np.ndarray, step: float = 1e-3)
         if loss < best_loss:
             best_loss, best_a = loss, a1
     return best_loss, best_a
+
+
+def simplex_kkt_gap(alpha, preds, labels) -> float:
+    """How far simplex weights are from minimising mean BCE (clipped as the
+    library clips): the largest gradient entry where alpha > 0 less the
+    smallest entry, 0 at the optimum.  The gradient is written out here, as
+    d(-log L)/dq per row, with L the likelihood of the row's label."""
+    alpha = np.asarray(alpha, dtype=np.float64)
+    assert alpha.min() >= 0.0 and abs(alpha.sum() - 1.0) <= 1e-12, alpha
+    q = np.clip(np.asarray(preds) @ alpha, 1e-12, 1 - 1e-12)
+    per_row = np.where(np.asarray(labels) == 1, -1.0 / q, 1.0 / (1.0 - q))
+    grad = np.asarray(preds).T @ per_row / len(per_row)
+    return float(grad[alpha > 0].max() - grad.min())
 
 
 def logistic_objective(w, b, feats, y, l2: float) -> float:

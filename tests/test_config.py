@@ -2,7 +2,7 @@ import dataclasses
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hybridens.config import COMBINE_RULES, EVAL_LEVELS, RunConfig
@@ -121,6 +121,32 @@ def test_config_json_loads_or_raises_config_error(doc):
     text = json.dumps(doc)
     try:
         config = RunConfig.from_dict(json.loads(text))
+    except ConfigError:
+        return
+    assert RunConfig.from_dict(json.loads(json.dumps(config.to_dict()))) == config
+
+
+_VALID_FILE = json.dumps(RunConfig(seed=9, folds=4, input_side=32).to_dict()).encode()
+
+
+@st.composite
+def _damaged_files(draw):
+    """A valid config file with up to four bytes overwritten, then cut short."""
+    data = bytearray(_VALID_FILE)
+    for _ in range(draw(st.integers(0, 4))):
+        data[draw(st.integers(0, len(data) - 1))] = draw(st.integers(0, 255))
+    return bytes(data[:draw(st.integers(0, len(data)))])
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=_damaged_files())
+@example(data=b'{"seed": 1\xff}')  # once escaped as a bare UnicodeDecodeError
+@example(data=b"[" * 100_000)  # once escaped as RecursionError
+def test_config_file_bytes_load_or_raise_config_error(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzzed_config.json"
+    path.write_bytes(data)
+    try:
+        config = RunConfig.from_json(path)
     except ConfigError:
         return
     assert RunConfig.from_dict(json.loads(json.dumps(config.to_dict()))) == config

@@ -31,6 +31,7 @@ from hybridens.pipeline import fuse_only, render_table, run_pipeline, score_rows
 from hybridens.stacking import MetaLearner, oof_predictions, train_meta
 from hybridens.synth import SynthSpec, synth_data
 from hybridens.weighting import optimize_weights
+from oracle_utils import simplex_kkt_gap
 
 TINY = dict(
     input_side=16, batch_size=16, dropout_rate=0.25, folds=2, freeze_epochs=2,
@@ -347,6 +348,9 @@ def test_cli_synth_run_evaluate_and_explain(tmp_path):
     assert cli.main(["run", "--config", str(config), "--data", str(data), "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
     assert len(report["rows"]) == 6
+    # The weights minimise BCE on the four validation rows: here the vertex (1, 0, 0).
+    alpha = json.loads((out / "weights.json").read_text())["alpha"]
+    assert simplex_kkt_gap(alpha, *load_predictions_csv(out / "preds_val.csv")) <= 1e-9
 
     assert cli.main(["evaluate", "--preds", str(out / "preds_test.csv")]) == 0
     assert cli.main([
@@ -470,7 +474,7 @@ def test_cli_run_exits_2_when_input_side_is_too_small_for_a_layout(tmp_path, cap
     "field", ["meta_epochs", "meta_lr", "meta_l2", "weight_steps", "weight_step_size"])
 def test_cli_rejects_a_config_with_a_removed_meta_learner_field(tmp_path, capsys, field):
     # meta_ridge replaced the meta-learner's gradient-descent fields, and the
-    # weight fit's step rule is fixed; a config that still names one of these
+    # weight fit takes no step settings; a config that still names one of these
     # fields is a configuration error, not a silently ignored key.
     config = tmp_path / "old.json"
     config.write_text(json.dumps({"seed": 1, field: 1}))
@@ -480,6 +484,19 @@ def test_cli_rejects_a_config_with_a_removed_meta_learner_field(tmp_path, capsys
                      "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "unknown config fields" in err and field in err, err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("text", [b'{"seed": 1\xff}', b"[" * 100_000], ids=["not-utf8", "deep"])
+def test_cli_exits_2_on_a_config_file_that_json_cannot_read(tmp_path, capsys, text):
+    config = tmp_path / "config.json"
+    config.write_bytes(text)
+    make_fuse_csv(tmp_path / "p.csv")
+    capsys.readouterr()
+    assert cli.main(["fuse", "--config", str(config), "--preds", str(tmp_path / "p.csv"),
+                     "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: config file is not valid JSON: {config}: "), err
     assert not (tmp_path / "o").exists()
 
 
@@ -616,7 +633,17 @@ _MIXED = np.array([0, 1, 0, 1, 0, 0])
 
 @settings(max_examples=300, deadline=None)
 @given(table=_score_tables(), ridge=st.sampled_from([0.0, 1.0, 1e6]))
-@example(table=(np.array([[18015.0]]), np.array([0])), ridge=1.0)  # IndexError in project_simplex
+# A one-entry table once raised IndexError in the simplex projection the weight fit used.
+@example(table=(np.array([[18015.0]]), np.array([0])), ridge=1.0)
+# A full Newton step lands on the vertex (1, 0) itself, with no weight above 1.
+@example(table=(np.array([[0.9, 0.5], [0.2, 0.5], [0.8, 0.5], [0.1, 0.5]]), np.array([1, 0, 1, 0])),
+         ridge=1.0)
+# A finite gradient with an overflowing Hessian raises before any LAPACK call.
+@example(table=(np.array([[1e150, 0.5], [0.5, 0.2]]), np.array([0, 1])), ridge=1.0)
+# Scores outside [0, 1] still leave the weights on the simplex.
+@example(table=(np.array([[-0.2, 0.3164202166186826, -0.2],
+                          [0.06353037371430614, 5e-324, 0.7582184572497676]]), np.array([1, 1])),
+         ridge=1.0)
 @example(table=(np.array([[0.2, 0.9], [0.7, 0.4]]), np.array([1, 1])), ridge=0.0)  # one class
 @example(table=(np.array([[0.3, 0.8, 0.5]]), np.array([1])), ridge=1.0)  # one row
 @example(table=(np.column_stack([np.full(6, 0.4), _SPREAD]), _MIXED), ridge=0.0)  # constant column
@@ -630,6 +657,7 @@ def test_score_arrays_fuse_and_score_or_raise_a_taxonomy_error(table, ridge):
         meta = _unless_taxonomy_error(lambda: train_meta(matrix, labels, ridge))
     if fit is not None:
         assert np.all(fit.alpha >= 0.0) and abs(fit.alpha.sum() - 1.0) <= 1e-9, fit.alpha
+        assert fit.alpha.max() <= 1.0, fit.alpha
     if meta is not None:
         assert np.all(np.isfinite(meta.w)) and math.isfinite(meta.b), meta
     scores = {f"p{k + 1}": matrix[:, k] for k in range(matrix.shape[1])}

@@ -12,11 +12,16 @@ from hybridens.weighting import (
     bce_gradient,
     mean_bce,
     optimize_weights,
-    project_simplex,
     sigmoid,
     weighted_predict,
 )
-from oracle_utils import fd_gradient, grid_simplex2_bce, rel_error, weight_iterates
+from oracle_utils import (
+    fd_gradient,
+    grid_simplex2_bce,
+    rel_error,
+    simplex_kkt_gap,
+    weight_iterates,
+)
 
 
 def test_weighted_predict_one_hot_returns_component():
@@ -43,7 +48,7 @@ def test_weighted_predict_rejects_dimension_mismatch():
 @given(st.integers(0, 2**32 - 1), st.integers(2, 6))
 def test_weighted_predict_stays_in_unit_interval(seed, k):
     rng = np.random.default_rng(seed)
-    alpha = project_simplex(rng.normal(size=k))
+    alpha = rng.dirichlet(np.ones(k))
     out = weighted_predict(alpha, rng.random((8, k)))
     assert np.all((out >= 0.0) & (out <= 1.0))
 
@@ -56,62 +61,6 @@ def test_bce_known_values():
     assert bce(1.0, 1) <= 1e-11
     assert bce(0.9, 0) == pytest.approx(-math.log(0.1), rel=1e-12)
     assert bce(0.0, 0) <= 1e-11
-
-
-def test_project_simplex_fixed_point():
-    v = np.array([0.2, 0.5, 0.3])
-    assert np.allclose(project_simplex(v), v, atol=1e-15)
-
-
-def test_project_simplex_uniform_shift():
-    # Symmetric input must project to the barycenter (KKT: equal shift).
-    assert np.allclose(project_simplex(np.array([0.2, 0.2, 0.2])), 1 / 3, atol=1e-15)
-
-
-def test_project_simplex_clips_to_vertex():
-    # Brute-force over the K=2 simplex confirms (1, 0) minimizes the distance.
-    v = np.array([1.2, -0.2])
-    grid = np.linspace(0, 1, 100001)
-    dists = (grid - 1.2) ** 2 + ((1 - grid) + 0.2) ** 2
-    assert grid[np.argmin(dists)] == 1.0
-    assert np.allclose(project_simplex(v), [1.0, 0.0], atol=1e-12)
-
-
-@pytest.mark.parametrize(
-    "v, expected",
-    [([-1.8e16], [1.0]), ([1e17, 0.0], [1.0, 0.0]), ([-1e17, 0.5, 0.25], [0.0, 0.625, 0.375])],
-)
-def test_project_simplex_survives_entries_beyond_float_precision(v, expected):
-    # Past 2**52 the threshold's -1 vanishes in the sum of the sorted entries.
-    assert np.allclose(project_simplex(np.array(v)), expected, atol=1e-12)
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_project_simplex_rejects_non_finite_entries(bad):
-    with pytest.raises(NumericError, match="non-finite"):
-        project_simplex(np.array([0.5, bad]))
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(1, 8))
-def test_project_simplex_feasible_and_idempotent(seed, k):
-    v = np.random.default_rng(seed).normal(scale=3.0, size=k)
-    x = project_simplex(v)
-    assert x.min() >= 0.0
-    assert abs(x.sum() - 1.0) <= 1e-12
-    assert np.allclose(project_simplex(x), x, atol=1e-12)
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.integers(0, 2**32 - 1))
-def test_project_simplex_beats_random_feasible_points(seed):
-    rng = np.random.default_rng(seed)
-    v = rng.normal(scale=2.0, size=4)
-    x = project_simplex(v)
-    best = np.sum((x - v) ** 2)
-    for _ in range(50):
-        z = rng.dirichlet(np.ones(4))
-        assert best <= np.sum((z - v) ** 2) + 1e-12
 
 
 def test_bce_gradient_matches_finite_differences():
@@ -145,7 +94,7 @@ def test_optimize_weights_symmetric_for_identical_columns():
 
 
 def test_optimize_weights_zero_steps_returns_uniform(monkeypatch):
-    monkeypatch.setattr(weighting, "MAX_STEPS", 0)
+    monkeypatch.setattr(weighting, "MAX_NEWTON_STEPS", 0)
     preds = np.array([[0.2, 0.8], [0.6, 0.4]])
     with pytest.warns(UserWarning, match=r"step limit \(0\)"):
         fit = optimize_weights(preds, np.array([0, 1]))
@@ -153,9 +102,7 @@ def test_optimize_weights_zero_steps_returns_uniform(monkeypatch):
     assert fit.steps_used == 0
 
 
-@pytest.mark.filterwarnings("ignore:ensemble weights stopped at the step limit")
-def test_optimize_weights_never_worse_than_uniform_and_feasible_iterates(monkeypatch):
-    monkeypatch.setattr(weighting, "MAX_STEPS", 120)
+def test_optimize_weights_never_worse_than_uniform_and_feasible_iterates():
     rng = np.random.default_rng(3)
     for _ in range(10):
         preds = rng.random((25, 4))
@@ -163,29 +110,47 @@ def test_optimize_weights_never_worse_than_uniform_and_feasible_iterates(monkeyp
         fit, iterates = weight_iterates(preds, labels)
         uniform = mean_bce(preds @ np.full(4, 0.25), labels)
         assert fit.val_bce <= uniform + 1e-15
+        assert len(iterates) == fit.steps_used + 2  # each step's weights, the last twice
         for it in iterates:
-            assert it.min() >= 0.0
+            assert it.min() >= 0.0 and it.max() <= 1.0
             assert abs(it.sum() - 1.0) <= 1e-12
 
 
-@pytest.mark.filterwarnings("ignore:ensemble weights stopped at the step limit")
+def test_halving_rate_returns_the_first_rate_that_does_not_raise_the_objective():
+    assert weighting.halving_rate(lambda r: r - 0.3) == 0.25
+    assert weighting.halving_rate(lambda r: 0.0) == 1.0
+    tried = []
+    assert weighting.halving_rate(lambda r: tried.append(r) or math.nan) is None
+    assert tried == [0.5**i for i in range(weighting.MAX_HALVINGS)]
+
+
+# Column 1 is right on 10 rows and gives 0 to the positive last row: near
+# uniform weights the quadratic model misses how fast that row's loss grows,
+# so the first full Newton step raises the objective and the guard halves it.
+_OVERSHOOT = (np.array([[0.9, 0.4]] * 5 + [[0.1, 0.6]] * 5 + [[0.0, 1.0]]),
+              np.array([1] * 5 + [0] * 5 + [1]))
+
+
 def test_optimize_weights_objective_non_increasing_along_iterates(monkeypatch):
-    monkeypatch.setattr(weighting, "MAX_STEPS", 200)
+    rates, halving_rate = [], weighting.halving_rate
+
+    def recording(change):
+        rates.append(halving_rate(change))
+        return rates[-1]
+
+    monkeypatch.setattr(weighting, "halving_rate", recording)
     rng = np.random.default_rng(8)
-    preds = rng.random((40, 3))
-    labels = rng.integers(0, 2, 40)
-    # At step size 50 the first trial of a step raises the objective, so the guard halves it.
-    for step_size in (0.5, 50.0):
-        monkeypatch.setattr(weighting, "STEP_SIZE", step_size)
+    for preds, labels in ((rng.random((40, 3)), rng.integers(0, 2, 40)), _OVERSHOOT):
+        rates.clear()
         fit, iterates = weight_iterates(preds, labels)
-        assert len(iterates) >= fit.steps_used + 1
         losses = [mean_bce(preds @ a, labels) for a in iterates]
         assert all(b <= a + 1e-15 for a, b in zip(losses, losses[1:]))
+        assert len(rates) == fit.steps_used and None not in rates
+    assert rates[0] == 0.5 and rates[1:] == [1.0] * (len(rates) - 1), rates
+    assert simplex_kkt_gap(fit.alpha, *_OVERSHOOT) <= 1e-9
 
 
-@pytest.mark.filterwarnings("ignore:ensemble weights stopped at the step limit")
-def test_optimize_weights_warns_on_single_class(monkeypatch):
-    monkeypatch.setattr(weighting, "MAX_STEPS", 5)
+def test_optimize_weights_warns_on_single_class():
     preds = np.random.default_rng(10).random((10, 2))
     with pytest.warns(UserWarning, match="single-class"):
         optimize_weights(preds, np.ones(10, dtype=int))
@@ -197,10 +162,11 @@ def test_optimize_weights_warns_when_it_stops_at_the_step_limit(monkeypatch):
     labels = rng.integers(0, 2, 40)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a fit that converges does not warn
-        assert optimize_weights(preds, labels).steps_used > 2
-    monkeypatch.setattr(weighting, "MAX_STEPS", 2)
-    with pytest.warns(UserWarning, match=r"step limit \(2\) before converging"):
-        assert optimize_weights(preds, labels).steps_used == 2
+        assert optimize_weights(preds, labels).steps_used > 1
+    monkeypatch.setattr(weighting, "MAX_NEWTON_STEPS", 1)
+    with pytest.warns(UserWarning, match=r"step limit \(1\) before converging"):
+        fit = optimize_weights(preds, labels)
+    assert fit.steps_used == 1 and simplex_kkt_gap(fit.alpha, preds, labels) > 1e-10
 
 
 def test_optimize_weights_matches_grid_search_k2():
@@ -213,10 +179,68 @@ def test_optimize_weights_matches_grid_search_k2():
         assert fit.val_bce <= best + 1e-4
 
 
-def test_optimize_weights_rejects_non_finite():
-    preds = np.array([[np.nan, 0.5], [0.2, 0.8]])
-    with pytest.raises(NumericError):
-        optimize_weights(preds, np.array([1, 0]))
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 60))
+def test_optimize_weights_feasible_and_kkt_optimal(seed, k, n):
+    rng = np.random.default_rng(seed)
+    preds = rng.random((n, k)) ** rng.uniform(0.2, 5.0)
+    labels = rng.integers(0, 2, n)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "optimizing ensemble weights on a single-class")
+        fit = optimize_weights(preds, labels)
+    assert simplex_kkt_gap(fit.alpha, preds, labels) <= 1e-9
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_optimize_weights_beats_random_feasible_points(seed):
+    rng = np.random.default_rng(seed)
+    preds = rng.random((20, 4))
+    labels = rng.integers(0, 2, 20)
+    fit = optimize_weights(preds, labels)
+    for z in rng.dirichlet(np.ones(4), 50):
+        assert fit.val_bce <= mean_bce(preds @ z, labels) + 1e-12
+
+
+def test_optimize_weights_lands_exactly_on_a_vertex():
+    # Column 1 ranks every row right and column 2 is uninformative, so BCE
+    # falls all the way to the vertex (1, 0); one full step lands on it.
+    preds = np.array([[0.9, 0.5], [0.2, 0.5], [0.8, 0.5], [0.1, 0.5]])
+    labels = np.array([1, 0, 1, 0])
+    fit = optimize_weights(preds, labels)
+    assert fit.alpha.tolist() == [1.0, 0.0] and fit.steps_used == 1
+    assert simplex_kkt_gap(fit.alpha, preds, labels) <= 0.0
+
+
+def test_optimize_weights_reaches_the_optimum_on_fuse_large_shaped_rows():
+    # 50,000 rows shaped as `fuse_only` fits them on the benchmark's table:
+    # three columns of rounded sigmoid scores, separations 0.5, 1.0 and 1.5.
+    rng = np.random.default_rng(1)
+    labels = rng.integers(0, 2, 50_000)
+    preds = np.stack([np.round(sigmoid(s * (2 * labels - 1) + rng.standard_normal(50_000)), 6)
+                      for s in (0.5, 1.0, 1.5)], axis=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit = optimize_weights(preds, labels)
+    assert simplex_kkt_gap(fit.alpha, preds, labels) <= 1e-9
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_optimize_weights_rejects_non_finite_entries(bad):
+    with pytest.raises(NumericError, match="non-finite"):
+        optimize_weights(np.array([[0.5, bad], [0.2, 0.8]]), np.array([1, 0]))
+
+
+def test_optimize_weights_rejects_non_finite(monkeypatch):
+    def no_lstsq(*args, **kwargs):
+        raise AssertionError("lstsq reached with a non-finite system")
+
+    monkeypatch.setattr(np.linalg, "lstsq", no_lstsq)
+    # A finite gradient, but the Hessian's squares of 1e150 overflow.
+    preds = np.array([[1e150, 0.5], [0.5, 0.2]])
+    assert np.all(np.isfinite(bce_gradient(np.full(2, 0.5), preds, np.array([0, 1]))))
+    with pytest.raises(NumericError, match="Hessian"):
+        optimize_weights(preds, np.array([0, 1]))
 
 
 def _masked_sigmoid(z):
