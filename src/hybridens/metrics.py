@@ -88,13 +88,17 @@ def auc(curve: RocCurve) -> float:
 
 
 def roc_points_csv(curve: RocCurve, texts: dict | None = None) -> str:
-    """Render the curve as `fpr,tpr` CSV text, each value as its shortest `repr`.
+    """Render the curve's corners as `fpr,tpr` CSV text, each value as its shortest `repr`.
 
-    `texts` is a table of the fractions formatted so far, which this call
-    fills and reads; curves that share it format each fraction once.
+    The corners are both ends and every point where the steps into and out of it are not
+    collinear (exact on the counts): a point inside a straight run lies on the segment between
+    its neighbours, so the plot and the trapezoid area stay, up to rounding.  `texts` holds the
+    fractions formatted so far, which this call fills and reads; curves sharing it format each once.
     """
     texts = {} if texts is None else texts
-    fpr, tpr = (_fraction_texts(counts, texts) for counts in (curve.fp, curve.tp))
+    dfp, dtp = np.diff(curve.fp), np.diff(curve.tp)
+    keep = np.concatenate(([True], dfp[:-1] * dtp[1:] != dtp[:-1] * dfp[1:], [True]))
+    fpr, tpr = (_fraction_texts(counts[keep], texts) for counts in (curve.fp, curve.tp))
     parts = ["fpr,tpr\n"]
     # One fixed-width row per point, 2**16 rows (3 MiB) at a time: numpy madvises huge pages
     # from 4 MiB, which made the peak RSS jump by 10 MB from one run to the next.

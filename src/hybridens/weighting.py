@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError
+from .errors import DataError, NumericError
 
 BCE_EPS = 1e-12
 GRAD_TOL = 1e-10
@@ -117,8 +117,8 @@ def optimize_weights(preds: np.ndarray, labels: np.ndarray) -> WeightFit:
     move of rate d changes mean BCE by -mean(log1p(rate c)).  The fit stops once the KKT gap
     (largest gradient entry on the support less the smallest entry) is at most GRAD_TOL, or
     when no halving lowers the objective, and warns if MAX_NEWTON_STEPS steps do not get
-    there; `steps_used` counts the steps taken.  A non-finite gradient or Hessian raises
-    NumericError."""
+    there; `steps_used` counts the steps taken.  A score that is not in [0, 1] (NaN included)
+    raises DataError before the first step, and a non-finite gradient or Hessian NumericError."""
     preds = np.asarray(preds, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     if preds.ndim != 2 or preds.shape[0] != labels.shape[0]:
@@ -126,6 +126,8 @@ def optimize_weights(preds: np.ndarray, labels: np.ndarray) -> WeightFit:
     n, k = preds.shape
     if n < 1:
         raise ValueError("need at least one validation row")
+    if not np.all((preds >= 0.0) & (preds <= 1.0)):  # a NaN fails both
+        raise DataError("weight-fit scores must be probabilities in [0, 1], not NaN")
     if labels.min() == labels.max():
         warnings.warn("optimizing ensemble weights on a single-class validation set")
     sign = np.where(labels == 1, 1.0, -1.0)

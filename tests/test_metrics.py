@@ -159,22 +159,29 @@ def test_roc_rejects_non_finite_scores(bad):
         roc_curve([0, 1, 1], [0.2, bad, 0.7])
 
 
-def test_roc_csv_round_trips_points():
-    curve = roc_curve([1, 0, 1, 0], [0.9, 0.1, 0.8, 0.4])
-    text = roc_points_csv(curve)
+def _parsed(text):
     lines = text.strip().splitlines()
     assert lines[0] == "fpr,tpr"
-    parsed = [tuple(float(v) for v in line.split(",")) for line in lines[1:]]
-    assert parsed == points(curve)
+    return [tuple(float(v) for v in line.split(",")) for line in lines[1:]]
 
 
-def _scalar_roc_points(labels, scores):
-    """The per-point group sweep the array code replaced, kept as its reference."""
+def test_roc_csv_round_trips_points():
+    # (0, 0), (0, 1/2), (0, 1), (1/2, 1), (1, 1): the points halfway up the
+    # vertical run and halfway along the horizontal one are not corners.
+    curve = roc_curve([1, 0, 1, 0], [0.9, 0.1, 0.8, 0.4])
+    assert _parsed(roc_points_csv(curve)) == [points(curve)[i] for i in (0, 2, 4)]
+    # Alternating labels turn at every point, so every point is written.
+    curve = roc_curve([1, 0, 1, 0], [0.9, 0.8, 0.7, 0.1])
+    assert _parsed(roc_points_csv(curve)) == points(curve)
+
+
+def _scalar_roc_counts(labels, scores):
+    """The per-point group sweep the array code replaced, kept as its reference:
+    the (fp, tp) counts as Python ints, one pair per threshold step."""
     labels = np.asarray(labels, dtype=np.int64)
     scores = np.asarray(scores, dtype=np.float64)
-    n_pos, n_neg = int(np.sum(labels == 1)), int(np.sum(labels == 0))
     order = np.argsort(-scores, kind="stable")
-    points, tp, fp, i = [(0.0, 0.0)], 0, 0, 0
+    counts, tp, fp, i = [(0, 0)], 0, 0, 0
     while i < len(order):
         j = i
         while j < len(order) and scores[order[j]] == scores[order[i]]:
@@ -183,9 +190,39 @@ def _scalar_roc_points(labels, scores):
             else:
                 fp += 1
             j += 1
-        points.append((fp / n_neg, tp / n_pos))
+        counts.append((fp, tp))
         i = j
-    return points
+    return counts
+
+
+def _scalar_rates(counts):
+    n_neg, n_pos = counts[-1]
+    return [(fp / n_neg, tp / n_pos) for fp, tp in counts]
+
+
+def _scalar_roc_points(labels, scores):
+    return _scalar_rates(_scalar_roc_counts(labels, scores))
+
+
+def _scalar_corners(counts):
+    """The counts where the curve turns, plus both ends: a point is dropped when the
+    steps into and out of it, each reduced by the gcd of its two counts, point the
+    same way (no step is (0, 0), since each adds at least one sample)."""
+
+    def direction(a, b):
+        dx, dy = b[0] - a[0], b[1] - a[1]
+        g = math.gcd(dx, dy)
+        return dx // g, dy // g
+
+    kept = [counts[0]]
+    for prev, here, nxt in zip(counts, counts[1:], counts[2:]):
+        if direction(prev, here) != direction(here, nxt):
+            kept.append(here)
+    return kept + counts[-1:]
+
+
+def _scalar_corner_csv(labels, scores):
+    return _scalar_csv(_scalar_rates(_scalar_corners(_scalar_roc_counts(labels, scores))))
 
 
 def _scalar_auc(points):
@@ -227,7 +264,7 @@ def test_roc_auc_and_csv_match_the_scalar_sweep_bit_for_bit(seed, kind):
     assert _bits(curve.fpr) == _bits([x for x, _ in ref])
     assert _bits(curve.tpr) == _bits([y for _, y in ref])
     assert _bits([auc(curve)]) == _bits([_scalar_auc(ref)])
-    assert roc_points_csv(curve) == _scalar_csv(ref)
+    assert roc_points_csv(curve) == _scalar_corner_csv(labels, scores)
 
 
 @pytest.mark.parametrize(
@@ -255,33 +292,56 @@ def test_tie_order_cannot_change_the_curve(seed, kind):
 
 
 def test_roc_csv_writes_exponent_cells_like_the_scalar_sweep(tmp_path):
-    """20,011 negatives, each at its own score: fpr 1/20011 and 2/20011 are
-    below 1e-4, so their `repr` is in exponent form, and 3/20011, like some
-    other fractions in [1e-4, 1e-3), fills all 22 bytes of a cell."""
-    n_neg, positions = 20_011, [0, 3, 9_000, 20_014]
+    """20,011 negatives, each at its own score, with positives right after the
+    first and the third: the curve turns at fpr 1/20011, below 1e-4, so its
+    `repr` is in exponent form, and at 3/20011, which, like some other
+    fractions in [1e-4, 1e-3), fills all 22 bytes of a cell."""
+    n_neg, positions = 20_011, [1, 4, 9_000, 20_014]
     labels = np.zeros(n_neg + len(positions), dtype=np.int64)
     labels[positions] = 1
     scores = -np.arange(labels.size, dtype=np.float64)
-    ref = _scalar_roc_points(labels, scores)
     curve = roc_curve(labels, scores)
     text = roc_points_csv(curve)
-    assert text == _scalar_csv(ref)
-    cells = [cell for line in text.splitlines()[1:] for cell in line.split(",")]
-    assert cells[4] == repr(1 / n_neg) == "4.997251511668582e-05"
+    assert text == _scalar_corner_csv(labels, scores)
+    lines = text.splitlines()[1:]
+    assert lines[:5] == ["0.0,0.0", f"{1 / n_neg!r},0.0", f"{1 / n_neg!r},0.25",
+                         f"{3 / n_neg!r},0.25", f"{3 / n_neg!r},0.5"]
+    assert repr(1 / n_neg) == "4.997251511668582e-05"
+    cells = [cell for line in lines for cell in line.split(",")]
     assert max(map(len, cells)) == len(repr(3 / n_neg)) == 22
     # A second curve of the same labels shares the denominators' tables.
     curves = {"a": curve, "b": roc_curve(labels, scores[::-1])}
     files = write_rocs(tmp_path, curves)
     for name, other in curves.items():
         assert (tmp_path / files[name]).read_text() == roc_points_csv(other)
-    assert (tmp_path / files["b"]).read_text() == _scalar_csv(
-        _scalar_roc_points(labels, scores[::-1]))
+    assert (tmp_path / files["b"]).read_text() == _scalar_corner_csv(labels, scores[::-1])
 
 
 def test_roc_csv_joins_its_row_blocks_like_the_scalar_sweep():
-    """131,075 points: two full blocks of 2**16 rows and three rows after them."""
-    labels = np.random.default_rng(5).integers(0, 2, (1 << 17) + 2)
+    """Alternating labels at distinct scores turn the curve at every point:
+    131,075 corners, two full blocks of 2**16 rows and three rows after them."""
+    labels = np.arange((1 << 17) + 2) % 2
     scores = -np.arange(labels.size, dtype=np.float64)
-    ref = _scalar_roc_points(labels, scores)
-    assert len(ref) == 2 * (1 << 16) + 3
-    assert roc_points_csv(roc_curve(labels, scores)) == _scalar_csv(ref)
+    text = roc_points_csv(roc_curve(labels, scores))
+    assert text.count("\n") == 1 + 2 * (1 << 16) + 3
+    assert text == _scalar_corner_csv(labels, scores) == _scalar_csv(
+        _scalar_roc_points(labels, scores))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["rounded", "signed_zeros", "few", "normal"]))
+def test_roc_csv_drops_only_points_on_a_segment_and_keeps_the_area(seed, kind):
+    """Every point the file leaves out lies on the segment between the written
+    points around it (exact on the counts), and the trapezoid area of the
+    text, read back, is the curve's AUC to 1e-12."""
+    labels, scores, _ = _labels_and_scores(seed, kind)
+    curve = roc_curve(labels, scores)
+    written = _parsed(roc_points_csv(curve))
+    index = {p: i for i, p in enumerate(points(curve))}
+    kept = [index[p] for p in written]  # a KeyError is a point the curve lacks
+    assert kept[0] == 0 and kept[-1] == curve.fp.size - 1 and kept == sorted(set(kept))
+    fp, tp = curve.fp.tolist(), curve.tp.tolist()
+    for a, b in zip(kept, kept[1:]):
+        for i in range(a + 1, b):
+            assert (fp[i] - fp[a]) * (tp[b] - tp[a]) == (tp[i] - tp[a]) * (fp[b] - fp[a]), i
+    assert abs(_scalar_auc(written) - auc(curve)) <= 1e-12

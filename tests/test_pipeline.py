@@ -638,9 +638,9 @@ _MIXED = np.array([0, 1, 0, 1, 0, 0])
 # A full Newton step lands on the vertex (1, 0) itself, with no weight above 1.
 @example(table=(np.array([[0.9, 0.5], [0.2, 0.5], [0.8, 0.5], [0.1, 0.5]]), np.array([1, 0, 1, 0])),
          ridge=1.0)
-# A finite gradient with an overflowing Hessian raises before any LAPACK call.
+# An entry of 1e150, whose square would overflow the Hessian, is refused before any step.
 @example(table=(np.array([[1e150, 0.5], [0.5, 0.2]]), np.array([0, 1])), ridge=1.0)
-# Scores outside [0, 1] still leave the weights on the simplex.
+# Scores outside [0, 1], which the weight fit refuses before its first step.
 @example(table=(np.array([[-0.2, 0.3164202166186826, -0.2],
                           [0.06353037371430614, 5e-324, 0.7582184572497676]]), np.array([1, 1])),
          ridge=1.0)
@@ -653,7 +653,12 @@ def test_score_arrays_fuse_and_score_or_raise_a_taxonomy_error(table, ridge):
     matrix, labels = table
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # single-class labels and invalid matmuls warn
-        fit = _unless_taxonomy_error(lambda: optimize_weights(matrix, labels))
+        if np.all((matrix >= 0.0) & (matrix <= 1.0)):
+            fit = _unless_taxonomy_error(lambda: optimize_weights(matrix, labels))
+        else:
+            with pytest.raises(DataError, match=r"in \[0, 1\]"):
+                optimize_weights(matrix, labels)
+            fit = None
         meta = _unless_taxonomy_error(lambda: train_meta(matrix, labels, ridge))
     if fit is not None:
         assert np.all(fit.alpha >= 0.0) and abs(fit.alpha.sum() - 1.0) <= 1e-9, fit.alpha

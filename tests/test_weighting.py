@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hybridens import weighting
-from hybridens.errors import NumericError
+from hybridens.errors import DataError, NumericError
 from hybridens.weighting import (
     bce_gradient,
     mean_bce,
@@ -225,22 +225,44 @@ def test_optimize_weights_reaches_the_optimum_on_fuse_large_shaped_rows():
     assert simplex_kkt_gap(fit.alpha, preds, labels) <= 1e-9
 
 
+def _no_step(*args, **kwargs):
+    raise AssertionError("the fit took a step")
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_optimize_weights_rejects_non_finite_entries(bad):
-    with pytest.raises(NumericError, match="non-finite"):
+def test_optimize_weights_rejects_non_finite_entries(bad, monkeypatch):
+    monkeypatch.setattr(weighting, "bce_gradient", _no_step)
+    with pytest.raises(DataError, match=r"in \[0, 1\], not NaN"):
         optimize_weights(np.array([[0.5, bad], [0.2, 0.8]]), np.array([1, 0]))
 
 
-def test_optimize_weights_rejects_non_finite(monkeypatch):
-    def no_lstsq(*args, **kwargs):
-        raise AssertionError("lstsq reached with a non-finite system")
+@pytest.mark.parametrize("preds,labels", [
+    # The first row's q < 0 would clip to 1e-12 and give it a Hessian weight of 1e24.
+    ([[-0.2, 0.3164202166186826, -0.2], [0.06353037371430614, 5e-324, 0.7582184572497676]],
+     [1, 1]),
+    ([[1e150, 0.5], [0.5, 0.2]], [0, 1]),  # the Hessian's squares of 1e150 would overflow
+    ([[0.5, 1.0000000000000002]], [1]),
+    ([[-5e-324, 0.5]], [0]),
+], ids=["negative-q", "1e150", "above-1", "below-0"])
+def test_optimize_weights_rejects_scores_outside_the_unit_interval(preds, labels, monkeypatch):
+    with monkeypatch.context() as patched:
+        patched.setattr(weighting, "bce_gradient", _no_step)
+        with pytest.raises(DataError, match=r"in \[0, 1\]"):
+            optimize_weights(np.array(preds), np.array(labels))
+    # Both ends of the interval are probabilities.
+    fit = optimize_weights(np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 0.5]]), np.array([1, 0, 1]))
+    assert fit.alpha.tolist() == [0.0, 1.0]
 
-    monkeypatch.setattr(np.linalg, "lstsq", no_lstsq)
-    # A finite gradient, but the Hessian's squares of 1e150 overflow.
-    preds = np.array([[1e150, 0.5], [0.5, 0.2]])
-    assert np.all(np.isfinite(bce_gradient(np.full(2, 0.5), preds, np.array([0, 1]))))
+
+def test_optimize_weights_rejects_non_finite(monkeypatch):
+    monkeypatch.setattr(np.linalg, "lstsq", _no_step)
+    # With the clip at 1e-200, the all-zero row's likelihood squares to 0: a finite gradient,
+    # but a 0/0 Hessian, which raises before any LAPACK call.
+    monkeypatch.setattr(weighting, "BCE_EPS", 1e-200)
+    preds = np.array([[0.0, 0.0], [0.5, 0.2]])
+    assert np.all(np.isfinite(bce_gradient(np.full(2, 0.5), preds, np.array([1, 0]))))
     with pytest.raises(NumericError, match="Hessian"):
-        optimize_weights(preds, np.array([0, 1]))
+        optimize_weights(preds, np.array([1, 0]))
 
 
 def _masked_sigmoid(z):
