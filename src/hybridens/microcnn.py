@@ -26,6 +26,7 @@ from .weighting import mean_bce, sigmoid
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+IM2COL_VALUES = 2**17  # per im2col chunk (1 MiB), whatever the batch or input side
 
 
 class Conv2d:
@@ -45,12 +46,19 @@ class Conv2d:
             w = rng.standard_normal((out_ch, in_ch, ksize, ksize)) * scale
         self.params = {"w": w, "b": np.zeros(out_ch)}
 
-    def _bands(self, x):
-        """Yield (di, band): im2col of kernel row di as one (N, C*K, OH*OW) copy."""
+    def _columns(self, x):
+        """Yield (i, cols): the whole-window im2col (n, C*K*K, OH*OW) of images
+        i..i+n of x, in chunks of at most IM2COL_VALUES values (one image at
+        least).  Each chunk overwrites the one before it in one buffer."""
         k = self.ksize
-        win = sliding_window_view(x, (k, k), axis=(2, 3))  # (N, C, OH, OW, K, K)
-        for di in range(k):
-            yield di, win[..., di, :].transpose(0, 1, 4, 2, 3).reshape(len(x), self.in_ch * k, -1)
+        win = sliding_window_view(x, (k, k), axis=(2, 3)).transpose(0, 1, 4, 5, 2, 3)
+        rows, cells = self.in_ch * k * k, win.shape[4] * win.shape[5]
+        step = max(1, IM2COL_VALUES // (rows * cells))
+        buf = np.empty((min(len(x), step), *win.shape[1:]))
+        for i in range(0, len(x), step):
+            chunk = buf[: len(x) - i]
+            np.copyto(chunk, win[i : i + len(chunk)])
+            yield i, chunk.reshape(len(chunk), rows, cells)
 
     def forward(self, x, training, rng):
         if x.ndim != 4 or x.shape[1] != self.in_ch:
@@ -59,10 +67,11 @@ class Conv2d:
         oh, ow = h - self.ksize + 1, w - self.ksize + 1
         if oh < 1 or ow < 1:
             raise DataError(f"conv2d kernel {self.ksize} larger than input {h}x{w}")
-        # One (O, C*K) @ (C*K, OH*OW) GEMM per kernel row and image, onto the bias.
-        y = np.broadcast_to(self.params["b"][:, None], (n, self.out_ch, oh * ow)).copy()
-        for di, band in self._bands(x):
-            y += self.params["w"][:, :, di].reshape(self.out_ch, -1) @ band
+        # One (O, C*K*K) @ (C*K*K, OH*OW) GEMM per image, written into y.
+        y, wt = np.empty((n, self.out_ch, oh * ow)), self.params["w"].reshape(self.out_ch, -1)
+        for i, cols in self._columns(x):
+            np.matmul(wt, cols, out=y[i : i + len(cols)])
+        y += self.params["b"][:, None]
         return y.reshape(n, self.out_ch, oh, ow), x
 
     def backward(self, ctx, dy, need_param_grads, need_input_grad=True):
@@ -70,11 +79,12 @@ class Conv2d:
         (n, c, h, w), (o, _, k, _) = x.shape, wt.shape
         oh, ow = dy.shape[2:]
         dx = grads = None
-        if need_param_grads:
-            dw, dyf = np.empty_like(wt), dy.reshape(n, o, -1)
-            for di, band in self._bands(x):
-                dw[:, :, di] = (dyf @ band.transpose(0, 2, 1)).sum(0).reshape(o, c, k)
-            grads = {"w": dw, "b": dy.sum(axis=(0, 2, 3))}
+        if need_param_grads:  # one (O, OH*OW) @ (OH*OW, C*K*K) GEMM per image, summed
+            per_image, dyf = np.empty((n, o, c * k * k)), dy.reshape(n, o, -1)
+            for i, cols in self._columns(x):
+                j = i + len(cols)
+                np.matmul(dyf[i:j], cols.transpose(0, 2, 1), out=per_image[i:j])
+            grads = {"w": per_image.sum(0).reshape(wt.shape), "b": dy.sum(axis=(0, 2, 3))}
         if need_input_grad:  # one (N*OH*OW, O) @ (O, C) GEMM per kernel tap, in NHWC
             dyt, dx = dy.transpose(0, 2, 3, 1).reshape(-1, o), np.zeros((n, h, w, c))
             for di, dj in np.ndindex(k, k):
@@ -482,6 +492,17 @@ def architecture_ids(k: int) -> list[str]:
         rep = i // len(BASE_ARCHITECTURES)
         ids.append(base if rep == 0 else f"{base}_r{rep}")
     return ids
+
+
+def training_cost(architecture_id: str, config: RunConfig) -> int:
+    """Multiply-adds per image of the top `config.unfreeze_top` conv layers,
+    which phase 2 trains: a static proxy for how long a net of this layout trains."""
+    costs, c, side = [], 1, config.input_side
+    for out_ch, ksize in _LAYOUTS[architecture_id.split("_r")[0]]["blocks"]:
+        side -= ksize - 1
+        costs.append(out_ch * c * ksize * ksize * side * side)
+        c, side = out_ch, side // 2
+    return sum(costs[::-1][: config.unfreeze_top])
 
 
 def build_micronet(

@@ -89,7 +89,11 @@ def job_map(jobs: int) -> Iterator[Callable]:
     """A `map` for up to `jobs` independent jobs: a process pool's, or the
     builtin `map` when only one worker would run.  Each job is seeded by its
     own tag and its result is placed by its index, so no output depends on
-    the worker count."""
+    the worker count.  A job is a tuple that starts with its submission key:
+    the pool submits in ascending key order, ties in input order, so keys
+    that put the longest jobs first keep any worker from idling at the end
+    (Graham's longest-processing-time rule).  Results come back in input
+    order, so the first failing job in input order raises."""
     workers = _worker_count(jobs)
     if workers <= 1:
         yield map
@@ -97,7 +101,19 @@ def job_map(jobs: int) -> Iterator[Callable]:
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(workers) as pool:
-        yield pool.map
+        yield functools.partial(_map_by_key, pool)
+
+
+def _map_by_key(pool, fn: Callable, jobs: list) -> Iterator:
+    """`pool.map(fn, jobs)`, but submitted in ascending order of `job[0]`."""
+    order = sorted(range(len(jobs)), key=lambda i: jobs[i][0])
+    futures = {i: pool.submit(fn, jobs[i]) for i in order}
+    try:
+        for i in range(len(jobs)):
+            yield futures.pop(i).result()
+    finally:  # on a failure, cancel the jobs no worker has started
+        for future in futures.values():
+            future.cancel()
 
 
 def _json_value(x: float) -> float | None:
@@ -179,8 +195,8 @@ def _train_net(job: tuple) -> tuple[microcnn.MicroNet, list[dict], list[np.ndarr
     """Build one net, two-phase-train it on `fit` (scoring `val` each epoch
     when given) and predict each query set with it.  A base net (fold None)
     draws from the ("init"|"train", arch) streams, an out-of-fold net from
-    ("oof-init"|"oof-train", arch, fold)."""
-    config, arch, fold, fit, val, queries = job
+    ("oof-init"|"oof-train", arch, fold).  `job[0]` is read by `job_map` only."""
+    _, config, arch, fold, fit, val, queries = job
     stage, tags = ("", (arch,)) if fold is None else ("oof-", (arch, fold))
     init_rng = rng_for(config.seed, stage + "init", *tags)
     net = microcnn.build_micronet(arch, config.input_side, config.dropout_rate, init_rng)
@@ -199,7 +215,8 @@ def train_bases(
 ) -> tuple[dict[str, microcnn.MicroNet], np.ndarray, np.ndarray, list[list[dict]]]:
     """Two-phase-train the K base nets; return them with val/test predictions.
     Writes the checkpoints, their histories, `preds_val.csv` and `preds_test.csv`.
-    The nets train through `map`, which may run them in any order or process."""
+    The nets train through `map`, which may run them in any order or process;
+    their submission keys put the costliest first (`microcnn.training_cost`)."""
     train = [samples[i] for i in split.train_ids]
     val = [samples[i] for i in split.val_ids]
     test = [samples[i] for i in split.test_ids]
@@ -209,7 +226,8 @@ def train_bases(
     val_preds = np.zeros((len(val), config.K))
     test_preds = np.zeros((len(test), config.K))
     histories = []
-    jobs = [(config, arch, None, train, val, [val, test]) for arch in arch_ids]
+    jobs = [(-microcnn.training_cost(arch, config), config, arch, None, train, val, [val, test])
+            for arch in arch_ids]
     for k, (net, history, (val_p, test_p)) in enumerate(map(_train_net, jobs)):
         arch = arch_ids[k]
         microcnn.save_checkpoint(net, ckpt_dir / f"{arch}.ckpt")
@@ -231,7 +249,7 @@ def _oof_net(
 ) -> np.ndarray:
     """The out-of-fold learner of one architecture, as `_train_net` of one fold.
     Nothing reads an OOF net's loss history, so it trains without a validation set."""
-    return _train_net((config, arch, fold, fit, [], [holdout]))[2][0]
+    return _train_net((None, config, arch, fold, fit, [], [holdout]))[2][0]
 
 
 def _model_scores(
@@ -321,7 +339,10 @@ def run_pipeline(
         with error_context("stage oof"):
             folds = assign_folds(samples, split.train_ids, config.folds, config.seed)
             learners = [functools.partial(_oof_net, config, arch) for arch in arch_ids]
-            oof = stacking.oof_predictions(samples, split.train_ids, folds, learners, pool_map)
+            costs = [microcnn.training_cost(arch, config) for arch in arch_ids]
+            oof = stacking.oof_predictions(
+                samples, split.train_ids, folds, learners, pool_map, costs
+            )
             oof_ids = [samples[i].sample_id for i in oof.train_ids]
             save_predictions_csv(out / "oof.csv", oof.matrix, oof.labels, oof_ids, oof.fold_of)
 

@@ -45,7 +45,7 @@ class MetaLearner:
 def _fit_predict(job: tuple) -> np.ndarray:
     """Fit learner k on one fold's fit samples and predict its holdout samples.
     Failures carry the learner and fold ids, as `error_context` words them."""
-    learner, k, fold, fit_samples, holdout_samples = job
+    _, learner, k, fold, fit_samples, holdout_samples = job
     with error_context(f"base learner {k} failed on fold {fold}"):
         return np.asarray(learner(fold, fit_samples, holdout_samples), dtype=np.float64)
 
@@ -56,6 +56,7 @@ def oof_predictions(
     folds: FoldAssignment,
     learners: Sequence[Callable],
     map: Callable = map,
+    costs: Sequence[float] | None = None,
 ) -> OofTable:
     """Train len(learners) base learners per fold and fill the OOF matrix.
 
@@ -66,9 +67,13 @@ def oof_predictions(
     may run them in any order or process; a process pool's `map` needs
     picklable learners.  The first failing job in (fold, k) order raises, as
     `_fit_predict` does.
+    Each job starts with its submission key, (fold, -its learner's cost), so
+    `pipeline.job_map`'s pool submits fold by fold, each fold's learners in
+    descending `costs` (all equal when None), ties in learner order.
     """
     if not learners:
         raise ValueError("need at least one base learner")
+    costs = [0] * len(learners) if costs is None else costs
     n = len(train_ids)
     matrix = np.full((n, len(learners)), np.nan)
     row_of = {sample_id: row for row, sample_id in enumerate(train_ids)}
@@ -78,8 +83,9 @@ def oof_predictions(
         holdouts.append(holdout)
         fit_samples = [samples[i] for i in train_ids if folds.fold_of[i] != fold]
         holdout_samples = [samples[i] for i in holdout]
-        jobs += [(f, k, fold, fit_samples, holdout_samples) for k, f in enumerate(learners)]
-    for (_, k, fold, _, _), preds in zip(jobs, map(_fit_predict, jobs)):
+        jobs += [((fold, -cost), f, k, fold, fit_samples, holdout_samples)
+                 for k, (f, cost) in enumerate(zip(learners, costs))]
+    for (_, _, k, fold, _, _), preds in zip(jobs, map(_fit_predict, jobs)):
         for i, p in zip(holdouts[fold], preds):
             matrix[row_of[i], k] = p
     if np.isnan(matrix).any():

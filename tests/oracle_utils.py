@@ -10,6 +10,8 @@ library's own weight fit and out-of-fold jobs.
 
 from __future__ import annotations
 
+from concurrent.futures import Future
+
 import numpy as np
 
 from hybridens import weighting
@@ -123,3 +125,29 @@ def assert_holdouts_are_folds(calls: list, samples, train_ids, folds) -> None:
     for fold, fit, held in calls:
         assert held == {samples[i].sample_id for i in train_ids if folds.fold_of[i] == fold}
         assert held and not fit & held and fit | held == train, fold
+
+
+class RecordingPool:
+    """A stand-in for ProcessPoolExecutor that runs each job in this process
+    when it is submitted and records the jobs in `submitted`, in submission
+    order."""
+
+    submitted: list = []
+
+    def __init__(self, workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, job):
+        self.submitted.append(job)
+        future = Future()
+        try:
+            future.set_result(fn(job))
+        except Exception as exc:  # the future holds it, as a worker's would
+            future.set_exception(exc)
+        return future

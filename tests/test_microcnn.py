@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -278,6 +279,68 @@ def test_conv_input_gradient_matches_finite_differences(ksize):
     assert no_dx is None
     assert sorted(same) == sorted(grads)
     assert all(same[name].tobytes() == grads[name].tobytes() for name in grads)
+
+
+def _chunked_conv(rng):
+    """A conv layer and a batch that fills three im2col chunks and one more image."""
+    layer = Conv2d(2, 3, 3, rng)
+    layer.params["b"][:] = rng.standard_normal(3)
+    per_chunk = microcnn.IM2COL_VALUES // (2 * 3 * 3 * 10 * 9)
+    assert per_chunk >= 2
+    return layer, rng.standard_normal((3 * per_chunk + 1, 2, 12, 11))
+
+
+def _loop_conv(layer, x):
+    """Valid convolution as a sum of shifted inputs, one kernel tap at a time."""
+    w, k = layer.params["w"], layer.ksize
+    oh, ow = x.shape[2] - k + 1, x.shape[3] - k + 1
+    y = np.zeros((len(x), layer.out_ch, oh, ow)) + layer.params["b"][:, None, None]
+    for o, c, di, dj in np.ndindex(layer.out_ch, layer.in_ch, k, k):
+        y[:, o] += w[o, c, di, dj] * x[:, c, di : di + oh, dj : dj + ow]
+    return y
+
+
+def test_conv_chunks_match_a_loop_reference_and_each_image_alone():
+    layer, x = _chunked_conv(np.random.default_rng(30))
+    y, _ = layer.forward(x, False, None)
+    assert np.max(np.abs(y - _loop_conv(layer, x))) <= 1e-12
+    for i in range(len(x)):
+        assert y[i].tobytes() == layer.forward(x[i : i + 1], False, None)[0][0].tobytes(), i
+
+
+def test_conv_weight_gradient_through_the_chunks_matches_finite_differences():
+    rng = np.random.default_rng(31)
+    layer, x = _chunked_conv(rng)
+    y, ctx = layer.forward(x, False, None)
+    c = rng.standard_normal(y.shape)
+
+    def objective(theta):
+        old = layer.params["w"].copy()
+        layer.params["w"][...] = theta
+        value = float(np.sum(c * layer.forward(x, False, None)[0]))
+        layer.params["w"][...] = old
+        return value
+
+    _, grads = layer.backward(ctx, c, True, need_input_grad=False)
+    assert rel_error(grads["w"], fd_gradient(objective, layer.params["w"].copy())) <= 1e-4
+    assert np.allclose(grads["b"], c.sum(axis=(0, 2, 3)), rtol=0, atol=1e-12)
+
+
+def test_conv_forward_and_weight_gradient_peak_below_the_band_kernel():
+    # convC's trainable conv at desk scale.  The per-kernel-row kernel this
+    # replaced peaked at 3,163,625 traced bytes here: the output, one
+    # (N, C*K, OH*OW) band and one GEMM product the size of the output.
+    rng = np.random.default_rng(32)
+    layer, x = Conv2d(1, 8, 5, rng), rng.random((24, 1, 32, 32))
+    dy = rng.standard_normal((24, 8, 28, 28))
+    tracemalloc.start()
+    try:
+        _, ctx = layer.forward(x, True, None)
+        layer.backward(ctx, dy, True, need_input_grad=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3_163_625
 
 
 def _argmax_pool(x, dy):

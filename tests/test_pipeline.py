@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import faulthandler
 import functools
@@ -31,7 +32,7 @@ from hybridens.pipeline import fuse_only, render_table, run_pipeline, score_rows
 from hybridens.stacking import MetaLearner, oof_predictions, train_meta
 from hybridens.synth import SynthSpec, synth_data
 from hybridens.weighting import optimize_weights
-from oracle_utils import simplex_kkt_gap
+from oracle_utils import RecordingPool, simplex_kkt_gap
 
 TINY = dict(
     input_side=16, batch_size=16, dropout_rate=0.25, folds=2, freeze_epochs=2,
@@ -558,10 +559,37 @@ def test_every_job_run_pipeline_submits_pickles(tiny_run, tmp_path, monkeypatch)
     out = tmp_path / "out"
     run_pipeline(RunConfig(seed=21, **TINY), data, out)
     assert submitted == ["_train_net"] * 3 + ["_fit_predict"] * 6
-    written = sorted(p.relative_to(run_out) for p in run_out.rglob("*") if p.is_file())
+    assert_same_files(out, run_out)
+
+
+def assert_same_files(out, expected):
+    """The two directories hold the same files, byte for byte."""
+    written = sorted(p.relative_to(expected) for p in expected.rglob("*") if p.is_file())
     assert written == sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file())
     for name in written:
-        assert (out / name).read_bytes() == (run_out / name).read_bytes(), name
+        assert (out / name).read_bytes() == (expected / name).read_bytes(), name
+
+
+def test_a_pool_submits_each_stage_longest_first(tiny_run, tmp_path, monkeypatch):
+    data, run_out, _ = tiny_run
+    monkeypatch.setattr(pipeline, "_worker_count", lambda jobs: 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "submitted", [])
+    run_pipeline(RunConfig(seed=21, **TINY), data, tmp_path / "out")
+    # Base jobs are (key, config, arch, ...); OOF jobs (key, learner, k, fold, ...).
+    bases = [job[2] for job in RecordingPool.submitted[:3]]
+    oof = [(job[3], job[1].args[1]) for job in RecordingPool.submitted[3:]]
+    assert bases == ["convC", "convB", "convA"]
+    assert oof == [(fold, arch) for fold in range(2) for arch in bases]
+    assert_same_files(tmp_path / "out", run_out)
+
+
+def test_outputs_do_not_depend_on_the_worker_count(tiny_run, tmp_path, monkeypatch):
+    data = tiny_run[0]
+    for workers in (2, 1):
+        monkeypatch.setattr(pipeline, "_worker_count", lambda jobs, workers=workers: workers)
+        run_pipeline(RunConfig(seed=21, **TINY), data, tmp_path / f"workers{workers}")
+    assert_same_files(tmp_path / "workers2", tmp_path / "workers1")
 
 
 def test_oof_through_a_spawn_pool_matches_the_builtin_map(tmp_path):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import functools
 import time
 
@@ -17,6 +18,7 @@ from hybridens.stacking import (
 )
 from hybridens.weighting import weighted_predict
 from oracle_utils import (
+    RecordingPool,
     assert_holdouts_are_folds,
     fd_gradient,
     logistic_objective,
@@ -124,6 +126,61 @@ def test_pool_raises_the_lowest_failing_job_and_cancels_the_rest(tmp_path, monke
     # The DataError of fold 2 arrived first; jobs still queued were cancelled.
     assert (tmp_path / "fit2").exists()
     assert len(list(tmp_path.glob("fit*"))) < n_folds
+
+
+def shifted(shift, fold, fit_samples, holdout_samples):
+    return mean_label(fold, fit_samples, holdout_samples) + shift
+
+
+def fails_at(fold_to_fail, delay, fold, fit_samples, holdout_samples):
+    """`mean_label`, except on fold `fold_to_fail`, where it fails after `delay` seconds."""
+    if fold == fold_to_fail:
+        time.sleep(delay)
+        raise NumericError(f"fold {fold} failed")
+    return mean_label(fold, fit_samples, holdout_samples)
+
+
+def test_pool_submits_each_fold_longest_first_and_raises_in_fold_order(monkeypatch):
+    monkeypatch.setattr(pipeline, "_worker_count", lambda jobs: 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "submitted", [])
+    samples = make_samples([1, 0, 1, 0, 1, 0])
+    folds = FoldAssignment(fold_of={i: i % 3 for i in range(6)}, k=3)
+    # A cheap learner, a costly one and a cheap one that ties with the first.
+    learners = [functools.partial(shifted, shift) for shift in (0.0, 0.1, 0.2)]
+    with pipeline.job_map(9) as pool_map:
+        table = oof_predictions(samples, list(range(6)), folds, learners, pool_map, [1, 3, 1])
+    assert [(job[3], job[2]) for job in RecordingPool.submitted] == [
+        (fold, k) for fold in range(3) for k in (1, 0, 2)
+    ]
+    serial = oof_predictions(samples, list(range(6)), folds, learners)
+    assert table.matrix.tobytes() == serial.matrix.tobytes()
+
+    # The cheap learner fails at fold 0 and is submitted after the costly
+    # one, which fails at fold 1: the error is still the serial run's.
+    RecordingPool.submitted.clear()
+    learners = [functools.partial(fails_at, 0, 0.0), functools.partial(fails_at, 1, 0.0)]
+    with pipeline.job_map(6) as pool_map:
+        with pytest.raises(NumericError, match="base learner 0 failed on fold 0: fold 0 failed"):
+            oof_predictions(samples, list(range(6)), folds, learners, pool_map, [1, 3])
+    assert [(job[3], job[2]) for job in RecordingPool.submitted] == [
+        (fold, k) for fold in range(3) for k in (1, 0)
+    ]
+
+
+@pytest.mark.parametrize("costly_fails_at", [0, 1])
+def test_pool_raises_the_first_failing_job_in_fold_order_not_the_first_to_fail(
+    monkeypatch, costly_fails_at
+):
+    # On two workers the costly learner, submitted first in each fold, fails
+    # at once, while the cheap learner's fold-0 fit still runs.
+    monkeypatch.setattr(pipeline, "_worker_count", lambda jobs: 2)
+    samples = make_samples([1, 0, 1, 0, 1, 0])
+    folds = FoldAssignment(fold_of={i: i % 3 for i in range(6)}, k=3)
+    learners = [functools.partial(fails_at, 0, 0.5), functools.partial(fails_at, costly_fails_at, 0)]
+    with pipeline.job_map(6) as pool_map:
+        with pytest.raises(NumericError, match="base learner 0 failed on fold 0: fold 0 failed"):
+            oof_predictions(samples, list(range(6)), folds, learners, pool_map, [1, 3])
 
 
 def test_meta_predict_zero_parameters_is_half():
