@@ -2,7 +2,9 @@
 
 Splitting and fold assignment operate on subjects, never on slices: all
 slices of a subject stay together, which is what keeps validation and test
-metrics honest when subjects contribute multiple slices.
+metrics honest when subjects contribute multiple slices.  Both take their
+subjects from one helper, `_shuffled_subjects`, which groups, labels and
+shuffles them; the split apportions each class, the folds deal it round-robin.
 """
 
 from __future__ import annotations
@@ -58,16 +60,26 @@ class FoldAssignment:
     k: int
 
 
-def _subject_table(samples: list[LabeledSample]) -> dict[str, dict]:
-    """Group sample indices by subject; subject label is the majority label."""
-    table: dict[str, dict] = {}
-    for i, s in enumerate(samples):
-        entry = table.setdefault(s.subject_id, {"indices": [], "labels": []})
-        entry["indices"].append(i)
-        entry["labels"].append(s.label)
-    for entry in table.values():
-        entry["label"] = int(np.mean(entry["labels"]) >= 0.5)
-    return table
+def _shuffled_subjects(
+    samples: list[LabeledSample], ids: range | list[int], seed: int, tag: str
+) -> tuple[list[list[int]], list[list[int]]]:
+    """The subjects of samples[ids] by class, as lists of their indices.
+
+    A subject's class is the majority label of its slices (a tie counts as
+    positive).  Each class's subjects are sorted by id, then shuffled by the
+    ``(seed, tag)`` stream.
+    """
+    groups: dict[str, list[int]] = {}
+    for i in ids:
+        groups.setdefault(samples[i].subject_id, []).append(i)
+    classes: tuple[list[list[int]], list[list[int]]] = ([], [])
+    for sid in sorted(groups):
+        members = groups[sid]
+        classes[2 * sum(samples[i].label for i in members) >= len(members)].append(members)
+    rng = rng_for(seed, tag)
+    for subjects in classes:
+        rng.shuffle(subjects)
+    return classes
 
 
 def _apportion(count: int, ratios: tuple[float, float, float]) -> list[int]:
@@ -98,23 +110,16 @@ def split_dataset(
         raise DataError(f"ratios must sum to 1, got {ratios} (sum {sum(ratios)})")
     if not samples:
         raise DataError("cannot split an empty sample list")
-    subjects = _subject_table(samples)
-    if len(subjects) < 3:
-        raise DataError(
-            f"need at least 3 subjects to fill train/val/test, got {len(subjects)}"
-        )
-    rng = rng_for(seed, "split")
+    classes = _shuffled_subjects(samples, range(len(samples)), seed, "split")
+    count = sum(map(len, classes))
+    if count < 3:
+        raise DataError(f"need at least 3 subjects to fill train/val/test, got {count}")
     parts: tuple[list[int], list[int], list[int]] = ([], [], [])
-    for label in (0, 1):
-        ids = sorted(sid for sid, e in subjects.items() if e["label"] == label)
-        if not ids:
-            continue
-        rng.shuffle(ids)
-        counts = _apportion(len(ids), tuple(ratios))
+    for subjects in classes:
         cursor = 0
-        for part, n in zip(parts, counts):
-            for sid in ids[cursor : cursor + n]:
-                part.extend(subjects[sid]["indices"])
+        for part, n in zip(parts, _apportion(len(subjects), tuple(ratios))):
+            for members in subjects[cursor : cursor + n]:
+                part.extend(members)
             cursor += n
     train, val, test = (sorted(p) for p in parts)
     return DatasetSplit(train_ids=train, val_ids=val, test_ids=test)
@@ -134,38 +139,27 @@ def assign_folds(
     """
     if k < 2:
         raise DataError(f"fold count must be >= 2, got {k}")
-    subset = [samples[i] for i in train_ids]
-    subjects = _subject_table(subset)
+    negatives, positives = _shuffled_subjects(samples, train_ids, seed, "folds")
+    subjects = negatives + positives
     if len(subjects) < k:
         raise DataError(f"k={k} exceeds the {len(subjects)} training subjects")
-    rng = rng_for(seed, "folds")
-    fold_of: dict[int, int] = {}
-    position = 0
-    for label in (0, 1):
-        ids = sorted(sid for sid, e in subjects.items() if e["label"] == label)
-        if not ids:
-            continue
-        rng.shuffle(ids)
-        for sid in ids:
-            fold = position % k
-            for local in subjects[sid]["indices"]:
-                fold_of[train_ids[local]] = fold
-            position += 1
+    fold_of = {i: position % k for position, members in enumerate(subjects) for i in members}
     return FoldAssignment(fold_of=fold_of, k=k)
 
 
-def load_image_dir(path: str | Path, input_side: int | None = None) -> list[LabeledSample]:
+def load_image_dir(path: str | Path, input_side: int) -> list[LabeledSample]:
     """Ingest `<root>/<pos|neg>/<subject>_<slice>.{pgm,png}` into samples.
 
-    Intensities arrive in [0, 1]; if `input_side` is given every image is
-    bilinearly resized to that square size.  Regular files directly under
-    the root (e.g. generator sidecars) are ignored; unknown subdirectories
-    are rejected.
+    Intensities arrive in [0, 1] and every image is bilinearly resized to
+    `input_side` square.  Regular files directly under the root (e.g.
+    generator sidecars) are ignored; unknown subdirectories are rejected, and
+    so are two files that name the same slice (`a_1.pgm`, `a_01.png`).
     """
     root = Path(path)
     if not root.is_dir():
         raise DataError(f"dataset root is not a directory: {root}")
     samples: list[LabeledSample] = []
+    files_by_id: dict[str, Path] = {}
     for child in sorted(root.iterdir()):
         if not child.is_dir():
             continue
@@ -181,17 +175,16 @@ def load_image_dir(path: str | Path, input_side: int | None = None) -> list[Labe
             subject, _, slice_part = stem.rpartition("_")
             if not slice_part.isdecimal():  # exactly the digits int() reads
                 raise DataError(f"slice index is not an integer in: {file}")
-            image = read_image(file)
-            if input_side is not None:
-                image = bilinear_resize(image, input_side, input_side)
-            samples.append(
-                LabeledSample(
-                    subject_id=f"{child.name}/{subject}",
-                    slice_index=int(slice_part),
-                    payload=image,
-                    label=label,
-                )
+            sample = LabeledSample(
+                subject_id=f"{child.name}/{subject}",
+                slice_index=int(slice_part),
+                payload=bilinear_resize(read_image(file), input_side, input_side),
+                label=label,
             )
+            clash = files_by_id.setdefault(sample.sample_id, file)
+            if clash != file:
+                raise DataError(f"{clash} and {file} are both slice {sample.sample_id}")
+            samples.append(sample)
     if not samples:
         raise DataError(f"no samples found under: {root}")
     return samples

@@ -2,14 +2,17 @@
 
 These deliberately avoid the library's own code paths: AUC by brute-force
 pair counting, gradients by central finite differences, simplex optima by
-grid search and by their optimality conditions.  Expected values asserted
-elsewhere were computed with these.
+grid search and by their optimality conditions, PNG files by a minimal
+encoder of their own.  Expected values asserted elsewhere were computed
+with these.
 `weight_iterates` and `recording_learner` are the exceptions: they watch the
 library's own weight fit and out-of-fold jobs.
 """
 
 from __future__ import annotations
 
+import struct
+import zlib
 from concurrent.futures import Future
 
 import numpy as np
@@ -151,3 +154,37 @@ class RecordingPool:
         except Exception as exc:  # the future holds it, as a worker's would
             future.set_exception(exc)
         return future
+
+
+def make_png(array: np.ndarray, filter_type: int = 0) -> bytes:
+    """Minimal 8-bit grayscale PNG encoder used as an independent oracle."""
+    h, w = array.shape
+    data = array.astype(np.uint8)
+
+    def chunk(ctype: bytes, body: bytes) -> bytes:
+        return (
+            struct.pack(">I", len(body))
+            + ctype
+            + body
+            + struct.pack(">I", zlib.crc32(ctype + body) & 0xFFFFFFFF)
+        )
+
+    ihdr = struct.pack(">IIBBBBB", w, h, 8, 0, 0, 0, 0)
+    rows = bytearray()
+    prev = np.zeros(w, dtype=np.int32)
+    for r in range(h):
+        line = data[r].astype(np.int32)
+        if filter_type == 0:
+            rows += bytes([0]) + bytes(line.astype(np.uint8))
+        elif filter_type == 2:  # Up
+            rows += bytes([2]) + bytes(((line - prev) % 256).astype(np.uint8))
+        else:
+            raise ValueError(filter_type)
+        prev = line
+    idat = zlib.compress(bytes(rows))
+    return (
+        b"\x89PNG\r\n\x1a\n"
+        + chunk(b"IHDR", ihdr)
+        + chunk(b"IDAT", idat)
+        + chunk(b"IEND", b"")
+    )

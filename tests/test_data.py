@@ -16,7 +16,8 @@ from hybridens.data import (
     split_dataset,
 )
 from hybridens.errors import DataError
-from hybridens.imageio import write_pgm
+from hybridens.imageio import write_file, write_pgm
+from oracle_utils import make_png
 
 
 def make_samples(n_subjects, slices_per_subject=1, labels=None):
@@ -136,12 +137,29 @@ def test_assign_folds_rejects_k_beyond_subjects():
         assign_folds(samples, list(range(4)), k=5, seed=0)
 
 
+def test_split_and_folds_are_pinned_to_their_seeded_streams():
+    # Subjects in unsorted order, 1-4 slices each, and one (e) whose slices
+    # tie, which counts as positive.  A change to the "split" or "folds"
+    # stream, to the order before the shuffle or to the majority rule moves
+    # these ids.
+    layout = {"h": [1, 1], "c": [0, 0, 0], "e": [0, 1], "a": [0, 0], "j": [0],
+              "f": [1, 1, 1], "b": [1], "i": [0, 0, 0, 0], "d": [1, 1], "g": [0]}
+    samples = [LabeledSample(sid, i, np.zeros(1), label)
+               for sid, labels in layout.items() for i, label in enumerate(labels)]
+    split = split_dataset(samples, (0.6, 0.2, 0.2), seed=5)
+    assert split.train_ids == [0, 1, 2, 3, 4, 9, 13, 18, 19, 20]  # h c j b d g
+    assert split.val_ids == [5, 6, 7, 8]  # e a
+    assert split.test_ids == [10, 11, 12, 14, 15, 16, 17]  # f i
+    folds = assign_folds(samples, split.train_ids, k=3, seed=5)
+    assert folds.fold_of == {2: 0, 3: 0, 4: 0, 18: 0, 19: 0, 9: 1, 13: 1, 20: 2, 0: 2, 1: 2}
+
+
 def test_load_image_dir_layout(tmp_path):
     (tmp_path / "pos").mkdir()
     (tmp_path / "neg").mkdir()
     write_pgm(tmp_path / "pos" / "s1_00.pgm", np.full((8, 8), 1.0))
     write_pgm(tmp_path / "neg" / "s2_00.pgm", np.zeros((8, 8)))
-    samples = load_image_dir(tmp_path)
+    samples = load_image_dir(tmp_path, 8)
     assert len(samples) == 2
     by_label = {s.label: s for s in samples}
     assert by_label[1].subject_id == "pos/s1"
@@ -154,7 +172,7 @@ def test_load_image_dir_resizes_with_corner_preservation(tmp_path):
     yy, xx = np.mgrid[0:16, 0:16].astype(np.float64)
     ramp = (yy + xx) / 40.0
     write_pgm(tmp_path / "pos" / "s1_00.pgm", ramp)
-    stored = load_image_dir(tmp_path, input_side=None)[0].payload
+    stored = load_image_dir(tmp_path, input_side=16)[0].payload
     resized = load_image_dir(tmp_path, input_side=32)[0].payload
     assert resized.shape == (32, 32)
     assert resized[0, 0] == stored[0, 0]
@@ -164,26 +182,45 @@ def test_load_image_dir_resizes_with_corner_preservation(tmp_path):
 def test_load_image_dir_rejections(tmp_path):
     with pytest.raises(DataError, match="no samples"):
         (tmp_path / "pos").mkdir()
-        load_image_dir(tmp_path)
+        load_image_dir(tmp_path, 4)
     (tmp_path / "maybe").mkdir()
     with pytest.raises(DataError, match="unknown label directory"):
-        load_image_dir(tmp_path)
+        load_image_dir(tmp_path, 4)
     (tmp_path / "maybe").rmdir()
     bad = tmp_path / "pos" / "s1_00.pgm"
     bad.write_bytes(b"not an image")
     with pytest.raises(DataError, match="s1_00.pgm"):
-        load_image_dir(tmp_path)
+        load_image_dir(tmp_path, 4)
     bad.unlink()
     write_pgm(tmp_path / "pos" / "s1_\u00b2.pgm", np.zeros((4, 4)))  # isdigit(), but not int()
     with pytest.raises(DataError, match="slice index is not an integer"):
-        load_image_dir(tmp_path)
+        load_image_dir(tmp_path, 4)
 
 
 def test_load_image_dir_ignores_root_files(tmp_path):
     (tmp_path / "pos").mkdir()
     write_pgm(tmp_path / "pos" / "s1_00.pgm", np.zeros((4, 4)))
     (tmp_path / "blobs.json").write_text("{}")
-    assert len(load_image_dir(tmp_path)) == 1
+    assert len(load_image_dir(tmp_path, 4)) == 1
+
+
+@settings(max_examples=30, deadline=None)
+@given(names=st.lists(
+    st.tuples(st.sampled_from(["1", "01", "001"]), st.sampled_from([".pgm", ".png"])),
+    min_size=2, max_size=2, unique=True,
+))
+def test_load_image_dir_rejects_two_files_for_one_slice(tmp_path_factory, names):
+    root = tmp_path_factory.mktemp("dup")
+    (root / "pos").mkdir()
+    paths = [root / "pos" / f"a_{number}{suffix}" for number, suffix in names]
+    for path in paths:
+        if path.suffix == ".png":
+            write_file(path, make_png(np.zeros((4, 4))))
+        else:
+            write_pgm(path, np.zeros((4, 4)))
+    with pytest.raises(DataError) as info:
+        load_image_dir(root, 4)
+    assert str(info.value) == f"{min(paths)} and {max(paths)} are both slice pos/a_01"
 
 
 def test_predictions_csv_shape(tmp_path):

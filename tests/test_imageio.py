@@ -9,40 +9,7 @@ from hypothesis import strategies as st
 
 from hybridens.errors import DataError
 from hybridens.imageio import bilinear_resize, read_image, write_file, write_pgm, write_ppm
-
-
-def make_png(array: np.ndarray, filter_type: int = 0) -> bytes:
-    """Minimal 8-bit grayscale PNG encoder used as an independent oracle."""
-    h, w = array.shape
-    data = array.astype(np.uint8)
-
-    def chunk(ctype: bytes, body: bytes) -> bytes:
-        return (
-            struct.pack(">I", len(body))
-            + ctype
-            + body
-            + struct.pack(">I", zlib.crc32(ctype + body) & 0xFFFFFFFF)
-        )
-
-    ihdr = struct.pack(">IIBBBBB", w, h, 8, 0, 0, 0, 0)
-    rows = bytearray()
-    prev = np.zeros(w, dtype=np.int32)
-    for r in range(h):
-        line = data[r].astype(np.int32)
-        if filter_type == 0:
-            rows += bytes([0]) + bytes(line.astype(np.uint8))
-        elif filter_type == 2:  # Up
-            rows += bytes([2]) + bytes(((line - prev) % 256).astype(np.uint8))
-        else:
-            raise ValueError(filter_type)
-        prev = line
-    idat = zlib.compress(bytes(rows))
-    return (
-        b"\x89PNG\r\n\x1a\n"
-        + chunk(b"IHDR", ihdr)
-        + chunk(b"IDAT", idat)
-        + chunk(b"IEND", b"")
-    )
+from oracle_utils import make_png
 
 
 def test_pgm_round_trip(tmp_path):

@@ -132,7 +132,7 @@ def quoted_run(tmp_path_factory):
 
 def test_prediction_csvs_quote_ids_with_commas_and_quotes(quoted_run):
     data, out, report, _ = quoted_run
-    sample_ids = {s.sample_id for s in load_image_dir(data)}
+    sample_ids = {s.sample_id for s in load_image_dir(data, 16)}
     assert all(',"' in sample_id for sample_id in sample_ids)
     for name, rows in (("oof", report.counts["train"]), ("preds_val", report.counts["val"]),
                        ("preds_test", report.counts["test"])):
@@ -427,6 +427,14 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
         (empty / label).mkdir(parents=True)
         (empty / label / "s1_00.pgm").write_bytes(b"P5\n0 0\n255\n")
     assert cli.main(["run", "--data", str(empty), "--out", str(tmp_path / "o")]) == 3
+    # Two spellings of one slice number would write two rows under one id.
+    dup = synth_data(SynthSpec(subjects_per_class=3, slices_per_subject=1, image_side=16, seed=1),
+                     tmp_path / "dup")
+    (dup / "pos" / "s1000_0.pgm").write_bytes((dup / "pos" / "s1000_00.pgm").read_bytes())
+    capsys.readouterr()
+    assert cli.main(["run", "--data", str(dup), "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == (f"data error: stage ingest: {dup}/pos/s1000_0.pgm and "
+                                       f"{dup}/pos/s1000_00.pgm are both slice pos/s1000_00\n")
     bad_csv = tmp_path / "bad.csv"
     bad_csv.write_text("id,p1,p2,label\na,2.0,0.1,1\n")
     assert cli.main(["evaluate", "--preds", str(bad_csv)]) == 3
