@@ -39,8 +39,12 @@ def cmd_synth_data(args: argparse.Namespace) -> int:
         noise_sigma=args.noise_sigma,
         seed=args.seed,
     )
+    for class_dir in (Path(args.out) / "pos", Path(args.out) / "neg"):
+        if class_dir.is_dir() and any(class_dir.iterdir()):
+            raise ConfigError(f"{class_dir} already holds files; give synth-data an --out "
+                              "without a dataset")
     root = synth_data(spec, args.out)
-    files = sum(1 for d in ("pos", "neg") for _ in (root / d).iterdir())
+    files = 2 * spec.subjects_per_class * spec.slices_per_subject
     print(f"wrote {files} images under {root}")
     return 0
 
@@ -50,7 +54,7 @@ def cmd_train_base(args: argparse.Namespace) -> int:
     out = Path(args.out)
     samples = pipeline.load_image_dir(args.data, config.input_side)
     split = pipeline.split_dataset(samples, pipeline.SPLIT_RATIOS, config.seed)
-    with pipeline.job_map(config.K) as pool_map:
+    with pipeline.job_map(config.K, samples) as pool_map:
         pipeline.train_bases(config, samples, split, out, pool_map)
     print(f"trained {config.K} base models; checkpoints and predictions under {out}")
     return 0

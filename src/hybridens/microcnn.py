@@ -221,7 +221,8 @@ class MicroNet:
     head_start: int
     input_side: int
     version: int = 0
-    adam: dict = field(default_factory=dict)
+    adam: dict = field(default_factory=dict)  # (layer, name) -> {"m", "v", "t"}
+    adam_moments: tuple = ()  # (keys, flat m and v) of the set last stepped
 
     def __post_init__(self) -> None:
         kinds = [layer.kind for layer in self.layers]
@@ -345,23 +346,58 @@ def class_score_gradient(net: MicroNet, cache: ForwardCache, class_id: int) -> n
 
 
 def adam_step(net: MicroNet, grads: dict, lr: float) -> MicroNet:
-    """Standard Adam on every trainable parameter; frozen ones are untouched."""
-    for key in net.trainable_params():
-        i, name = key
-        if key not in grads:
-            raise ValueError(f"missing gradient for trainable parameter layer{i}.{name}")
-        g = grads[key]
-        if not np.all(np.isfinite(g)):
+    """Standard Adam on every trainable parameter; frozen ones are untouched.
+
+    The trainable parameters step together, as one flat vector, but each
+    keeps its own step count: a head trained in phase 1 carries its count
+    into phase 2, where a newly unfrozen layer starts from 0."""
+    keys = net.trainable_params()
+    if keys:
+        for i, name in keys:
+            if (i, name) not in grads:
+                raise ValueError(f"missing gradient for trainable parameter layer{i}.{name}")
+        g = np.concatenate([grads[key].ravel() for key in keys])
+        if not np.isfinite(g).all():
+            i, name = next(key for key in keys if not np.isfinite(grads[key]).all())
             raise NumericError(f"non-finite gradient at layer{i}.{net.layers[i].kind}.{name}")
-        slot = net.adam.setdefault(key, {"m": np.zeros_like(g), "v": np.zeros_like(g), "t": 0})
-        slot["t"] += 1
-        slot["m"] = ADAM_BETA1 * slot["m"] + (1 - ADAM_BETA1) * g
-        slot["v"] = ADAM_BETA2 * slot["v"] + (1 - ADAM_BETA2) * g * g
-        m_hat = slot["m"] / (1 - ADAM_BETA1 ** slot["t"])
-        v_hat = slot["v"] / (1 - ADAM_BETA2 ** slot["t"])
-        net.layers[i].params[name] -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        m, v = _adam_moments(net, keys)
+        slots = [net.adam[key] for key in keys]
+        for slot in slots:
+            slot["t"] += 1
+        sizes = [slot["m"].size for slot in slots]
+        m *= ADAM_BETA1
+        m += (1 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1 - ADAM_BETA2) * g * g
+        m_hat = m / np.repeat([1 - ADAM_BETA1 ** slot["t"] for slot in slots], sizes)
+        v_hat = v / np.repeat([1 - ADAM_BETA2 ** slot["t"] for slot in slots], sizes)
+        step = lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        start = 0
+        for (i, name), size in zip(keys, sizes):
+            param = net.layers[i].params[name]
+            param -= step[start : start + size].reshape(param.shape)
+            start += size
     net.version += 1
     return net
+
+
+def _adam_moments(net: MicroNet, keys: list) -> np.ndarray:
+    """The flat first and second moments of the parameters `keys`, kept in
+    `net.adam_moments` with `keys`.  A new trainable set gets new buffers
+    that start from each parameter's moments so far (zeros for one never
+    stepped), and `net.adam` keeps views into them."""
+    if not net.adam_moments or net.adam_moments[0] != keys:
+        flat = np.zeros((2, sum(net.layers[i].params[name].size for i, name in keys)))
+        start = 0
+        for i, name in keys:
+            param, slot = net.layers[i].params[name], net.adam.setdefault((i, name), {"t": 0})
+            for moment, row in zip("mv", flat):
+                view = row[start : start + param.size].reshape(param.shape)
+                view[...] = slot.get(moment, 0.0)
+                slot[moment] = view
+            start += param.size
+        net.adam_moments = (keys, flat)
+    return net.adam_moments[1]
 
 
 def batch_tensor(samples: list[LabeledSample]) -> np.ndarray:

@@ -16,7 +16,7 @@ import os
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -85,7 +85,7 @@ def _worker_count(jobs: int) -> int:
 
 
 @contextmanager
-def job_map(jobs: int) -> Iterator[Callable]:
+def job_map(jobs: int, samples: Sequence[LabeledSample]) -> Iterator[Callable]:
     """A `map` for up to `jobs` independent jobs: a process pool's, or the
     builtin `map` when only one worker would run.  Each job is seeded by its
     own tag and its result is placed by its index, so no output depends on
@@ -93,27 +93,71 @@ def job_map(jobs: int) -> Iterator[Callable]:
     the pool submits in ascending key order, ties in input order, so keys
     that put the longest jobs first keep any worker from idling at the end
     (Graham's longest-processing-time rule).  Results come back in input
-    order, so the first failing job in input order raises."""
+    order, so the first failing job in input order raises.
+
+    Each pool worker starts with `samples`, the run's samples: a forked
+    worker inherits the list, and under spawn or forkserver the pool's
+    initializer pickles it once per worker.  A job then carries each list of
+    these samples as their indices, and the worker swaps them back."""
     workers = _worker_count(jobs)
     if workers <= 1:
         yield map
         return
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(workers) as pool:
-        yield functools.partial(_map_by_key, pool)
+    with ProcessPoolExecutor(workers, initializer=_keep_samples, initargs=(samples,)) as pool:
+        yield functools.partial(_map_by_key, pool, {id(s): i for i, s in enumerate(samples)})
 
 
-def _map_by_key(pool, fn: Callable, jobs: list) -> Iterator:
-    """`pool.map(fn, jobs)`, but submitted in ascending order of `job[0]`."""
+def _map_by_key(pool, index: dict, fn: Callable, jobs: list) -> Iterator:
+    """`pool.map(fn, jobs)`, but submitted in ascending order of `job[0]`,
+    each job with its lists of samples swapped for their `index` entries."""
     order = sorted(range(len(jobs)), key=lambda i: jobs[i][0])
-    futures = {i: pool.submit(fn, jobs[i]) for i in order}
+    run = functools.partial(_run_with_samples, fn)
+    futures = {i: pool.submit(run, _by_index(jobs[i], index)) for i in order}
     try:
         for i in range(len(jobs)):
             yield futures.pop(i).result()
     finally:  # on a failure, cancel the jobs no worker has started
         for future in futures.values():
             future.cancel()
+
+
+_worker_samples: Sequence[LabeledSample] = ()  # set in each pool worker by `_keep_samples`
+
+
+class _Picks(tuple):
+    """Indices into a pool worker's samples: a list of samples, as a job carries it."""
+
+
+def _keep_samples(samples: Sequence[LabeledSample]) -> None:
+    """A pool worker's initializer: keep the samples that its jobs pick by index."""
+    global _worker_samples
+    _worker_samples = samples
+
+
+def _by_index(x, index: dict):
+    """`x` with each list of samples in `index` (by id), nested in lists and
+    tuples, swapped for a `_Picks` of their indices."""
+    if isinstance(x, list) and x and all(id(s) in index for s in x):
+        return _Picks(index[id(s)] for s in x)
+    if type(x) in (list, tuple):
+        return type(x)(_by_index(v, index) for v in x)
+    return x
+
+
+def _by_sample(x):
+    """The inverse of `_by_index`, in a pool worker."""
+    if isinstance(x, _Picks):
+        return [_worker_samples[i] for i in x]
+    if type(x) in (list, tuple):
+        return type(x)(_by_sample(v) for v in x)
+    return x
+
+
+def _run_with_samples(fn: Callable, job):
+    """A pool worker's side of `_map_by_key`: `fn` of the job with its samples."""
+    return fn(_by_sample(job))
 
 
 def _json_value(x: float) -> float | None:
@@ -328,7 +372,7 @@ def run_pipeline(
     val_labels = np.array([s.label for s in val], dtype=np.int64)
     test_labels = np.array([s.label for s in test], dtype=np.int64)
 
-    with job_map(config.K * config.folds) as pool_map:
+    with job_map(config.K * config.folds, samples) as pool_map:
         with error_context("stage train-base"):
             nets, val_preds, test_preds, _ = train_bases(config, samples, split, out, pool_map)
 

@@ -11,6 +11,7 @@ library's own weight fit and out-of-fold jobs.
 
 from __future__ import annotations
 
+import pickle
 import struct
 import zlib
 from concurrent.futures import Future
@@ -133,12 +134,14 @@ def assert_holdouts_are_folds(calls: list, samples, train_ids, folds) -> None:
 class RecordingPool:
     """A stand-in for ProcessPoolExecutor that runs each job in this process
     when it is submitted and records the jobs in `submitted`, in submission
-    order."""
+    order.  It runs the pool's initializer here, once, as each worker runs
+    it in its own process."""
 
     submitted: list = []
 
-    def __init__(self, workers):
-        pass
+    def __init__(self, workers, initializer=None, initargs=()):
+        if initializer is not None:
+            initializer(*initargs)
 
     def __enter__(self):
         return self
@@ -150,10 +153,31 @@ class RecordingPool:
         self.submitted.append(job)
         future = Future()
         try:
-            future.set_result(fn(job))
+            future.set_result(self.run(fn, job))
         except Exception as exc:  # the future holds it, as a worker's would
             future.set_exception(exc)
         return future
+
+    def run(self, fn, job):
+        return fn(job)
+
+
+class PicklingPool(RecordingPool):
+    """A RecordingPool that sends the initializer's arguments, each job and
+    each result through pickle, as a spawned worker receives and returns
+    them, and records the size of each pickled (function, job) pair in
+    `job_bytes`."""
+
+    job_bytes: list = []
+
+    def __init__(self, workers, initializer=None, initargs=()):
+        super().__init__(workers, initializer, pickle.loads(pickle.dumps(initargs)))
+
+    def run(self, fn, job):
+        sent = pickle.dumps((fn, job))
+        self.job_bytes.append(len(sent))
+        fn, job = pickle.loads(sent)
+        return pickle.loads(pickle.dumps(fn(job)))
 
 
 def make_png(array: np.ndarray, filter_type: int = 0) -> bytes:

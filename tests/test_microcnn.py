@@ -457,6 +457,42 @@ def test_adam_rejects_non_finite_gradient_with_path():
         adam_step(net, grads, 1e-3)
 
 
+def reference_adam_step(net, state, grads, lr):
+    """Adam one parameter at a time, keeping each one's moments and step
+    count in `state`, {(layer, name): {"m", "v", "t"}}."""
+    for key in net.trainable_params():
+        i, name = key
+        g = grads[key]
+        slot = state.setdefault(key, {"m": np.zeros_like(g), "v": np.zeros_like(g), "t": 0})
+        slot["t"] += 1
+        slot["m"] = microcnn.ADAM_BETA1 * slot["m"] + (1 - microcnn.ADAM_BETA1) * g
+        slot["v"] = microcnn.ADAM_BETA2 * slot["v"] + (1 - microcnn.ADAM_BETA2) * g * g
+        m_hat = slot["m"] / (1 - microcnn.ADAM_BETA1 ** slot["t"])
+        v_hat = slot["v"] / (1 - microcnn.ADAM_BETA2 ** slot["t"])
+        net.layers[i].params[name] -= lr * m_hat / (np.sqrt(v_hat) + microcnn.ADAM_EPS)
+
+
+def test_adam_matches_a_per_parameter_reference_bit_for_bit_across_phases():
+    rng = np.random.default_rng(17)
+    net, reference = (build_micronet("convA", 16, 0.0, np.random.default_rng(18)) for _ in "ab")
+    state = {}
+    # Freeze, fine-tune the top conv, then both convs, then freeze again: the
+    # head's step count runs on while each conv's starts when it is unfrozen.
+    for unfreeze_top, steps, lr in ((0, 3, 1e-2), (1, 3, 2e-3), (2, 2, 1e-3), (0, 2, 1e-2)):
+        set_trainability(net, unfreeze_top)
+        set_trainability(reference, unfreeze_top)
+        for _ in range(steps):
+            grads = {(i, name): rng.standard_normal(net.layers[i].params[name].shape)
+                     * 10.0 ** rng.uniform(-6, 2) for i, name in net.trainable_params()}
+            adam_step(net, {key: g.copy() for key, g in grads.items()}, lr)
+            reference_adam_step(reference, state, grads, lr)
+            assert param_digest(net) == param_digest(reference)
+    assert {key: slot["t"] for key, slot in net.adam.items()} == {
+        key: slot["t"] for key, slot in state.items()
+    } == {(0, "b"): 2, (0, "w"): 2, (3, "b"): 5, (3, "w"): 5,
+          (7, "b"): 10, (7, "w"): 10, (10, "b"): 10, (10, "w"): 10}
+
+
 def test_stale_cache_rejected():
     rng = np.random.default_rng(16)
     net = tiny_net(rng)

@@ -32,7 +32,7 @@ from hybridens.pipeline import fuse_only, render_table, run_pipeline, score_rows
 from hybridens.stacking import MetaLearner, oof_predictions, train_meta
 from hybridens.synth import SynthSpec, synth_data
 from hybridens.weighting import optimize_weights
-from oracle_utils import RecordingPool, simplex_kkt_gap
+from oracle_utils import PicklingPool, RecordingPool, simplex_kkt_gap
 
 TINY = dict(
     input_side=16, batch_size=16, dropout_rate=0.25, folds=2, freeze_epochs=2,
@@ -368,6 +368,24 @@ def test_cli_synth_run_evaluate_and_explain(tmp_path):
     assert list((tmp_path / "xai").glob("*_overlay.ppm"))
 
 
+def test_cli_synth_data_refuses_an_out_that_holds_a_dataset(tmp_path, capsys):
+    out = tmp_path / "data"
+    argv = ["synth-data", "--out", str(out), "--slices-per-subject", "2", "--image-side", "16"]
+    assert cli.main([*argv, "--subjects-per-class", "6"]) == 0
+    assert capsys.readouterr().out == f"wrote 24 images under {out}\n"
+    before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    assert cli.main([*argv, "--subjects-per-class", "3"]) == 2
+    assert capsys.readouterr().err == (f"config error: {out / 'pos'} already holds files; "
+                                       "give synth-data an --out without a dataset\n")
+    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+    # Empty class folders hold no dataset; the count printed is the spec's.
+    for image in out.rglob("*.pgm"):
+        image.unlink()
+    assert cli.main([*argv, "--subjects-per-class", "3"]) == 0
+    assert capsys.readouterr().out == f"wrote 12 images under {out}\n"
+    assert len(list(out.rglob("*.pgm"))) == 12
+
+
 def oof_learners(config):
     """The OOF learners `run_pipeline` passes to `oof_predictions`."""
     return [functools.partial(pipeline._oof_net, config, a) for a in architecture_ids(config.K)]
@@ -560,7 +578,7 @@ def test_every_job_run_pipeline_submits_pickles(tiny_run, tmp_path, monkeypatch)
             yield pickle.loads(pickle.dumps(fn(job)))
 
     @contextmanager
-    def job_map(jobs):
+    def job_map(jobs, samples):
         yield pickling_map
 
     monkeypatch.setattr(pipeline, "job_map", job_map)
@@ -568,6 +586,42 @@ def test_every_job_run_pipeline_submits_pickles(tiny_run, tmp_path, monkeypatch)
     run_pipeline(RunConfig(seed=21, **TINY), data, out)
     assert submitted == ["_train_net"] * 3 + ["_fit_predict"] * 6
     assert_same_files(out, run_out)
+
+
+@pytest.fixture(scope="module")
+def serial_run(tiny_run, tmp_path_factory):
+    """`tiny_run`'s run again through the builtin `map`: no pool starts."""
+    out = tmp_path_factory.mktemp("serial") / "out"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pipeline, "_worker_count", lambda jobs: 1)
+        run_pipeline(RunConfig(seed=21, **TINY), tiny_run[0], out)
+    return out
+
+
+def test_no_job_run_pipeline_submits_pickles_to_more_than_a_few_kb(
+    tiny_run, serial_run, tmp_path, monkeypatch
+):
+    """Workers start with the samples, so a job names them by index and its
+    pickle does not grow with the images it trains and predicts on."""
+    monkeypatch.setattr(pipeline, "_worker_count", lambda jobs: 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", PicklingPool)
+    monkeypatch.setattr(PicklingPool, "job_bytes", [])
+    run_pipeline(RunConfig(seed=21, **TINY), tiny_run[0], tmp_path / "out")
+    assert len(PicklingPool.job_bytes) == 9
+    assert max(PicklingPool.job_bytes) <= 4096, PicklingPool.job_bytes
+    assert_same_files(tmp_path / "out", serial_run)
+
+
+@pytest.mark.parametrize("method", ["fork", "spawn", "forkserver"])
+def test_a_pool_under_each_start_method_writes_what_the_builtin_map_writes(
+    tiny_run, serial_run, tmp_path, monkeypatch, method
+):
+    context = multiprocessing.get_context(method)
+    monkeypatch.setattr(pipeline, "_worker_count", lambda jobs: 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        functools.partial(ProcessPoolExecutor, mp_context=context))
+    run_pipeline(RunConfig(seed=21, **TINY), tiny_run[0], tmp_path / "out")
+    assert_same_files(tmp_path / "out", serial_run)
 
 
 def assert_same_files(out, expected):
