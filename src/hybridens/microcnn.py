@@ -5,13 +5,13 @@ are freestanding objects with their own backward rules,
 `backward(ctx, dy, need_param_grads, need_input_grad=True) -> (dx, grads)`,
 where a layer may return None for what it was not asked for; a MicroNet is an
 ordered stack ending in a sigmoid head, with per-layer trainability flags
-realizing the freeze/fine-tune phases and per-parameter Adam state.
+realizing the freeze/fine-tune phases over one flat parameter vector.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -216,13 +216,14 @@ class SigmoidHead:
 
 @dataclass
 class MicroNet:
+    """`flat` holds every parameter in checkpoint order, and `layer.params[name]`
+    views it from `spans[(layer, name)]`; `moments` and `steps` are Adam's state."""
+
     architecture_id: str
     layers: list
     head_start: int
     input_side: int
     version: int = 0
-    adam: dict = field(default_factory=dict)  # (layer, name) -> {"m", "v", "t"}
-    adam_moments: tuple = ()  # (keys, flat m and v) of the set last stepped
 
     def __post_init__(self) -> None:
         kinds = [layer.kind for layer in self.layers]
@@ -230,6 +231,23 @@ class MicroNet:
             raise ValueError("a MicroNet needs exactly one sigmoid_head, at the end")
         if "conv2d" not in kinds:
             raise ValueError("a MicroNet needs at least one conv2d layer")
+        keys = [(i, name) for i in self.parameterized() for name in sorted(self.layers[i].params)]
+        sizes = [self.layers[i].params[name].size for i, name in keys]
+        self.spans = dict(zip(keys, np.cumsum([0, *sizes[:-1]]).tolist()))
+        self.flat = np.concatenate([self.layers[i].params[name].ravel() for i, name in keys])
+        self.moments = np.zeros((2, self.flat.size))
+        self.steps = dict.fromkeys(keys, 0)
+        self._bind()
+
+    def __setstate__(self, state: dict) -> None:
+        # Pickling copies each view on its own: point them back into `flat`.
+        self.__dict__.update(state)
+        self._bind()
+
+    def _bind(self) -> None:
+        for (i, name), lo in self.spans.items():
+            params = self.layers[i].params
+            params[name] = self.flat[lo : lo + params[name].size].reshape(params[name].shape)
 
     @property
     def final_conv_index(self) -> int:
@@ -239,11 +257,7 @@ class MicroNet:
         return [i for i, layer in enumerate(self.layers) if layer.params]
 
     def trainable_params(self) -> list[tuple[int, str]]:
-        out = []
-        for i in self.parameterized():
-            if self.layers[i].trainable:
-                out.extend((i, name) for name in sorted(self.layers[i].params))
-        return out
+        return [key for key in self.spans if self.layers[key[0]].trainable]
 
 
 @dataclass
@@ -348,11 +362,13 @@ def class_score_gradient(net: MicroNet, cache: ForwardCache, class_id: int) -> n
 def adam_step(net: MicroNet, grads: dict, lr: float) -> MicroNet:
     """Standard Adam on every trainable parameter; frozen ones are untouched.
 
-    The trainable parameters step together, as one flat vector, but each
-    keeps its own step count: a head trained in phase 1 carries its count
-    into phase 2, where a newly unfrozen layer starts from 0."""
+    The trainable parameters, which must be a trailing slice of `net.flat`,
+    step together, but each keeps its own step count: a head trained in
+    phase 1 carries its count into phase 2, where a newly unfrozen layer starts at 0."""
     keys = net.trainable_params()
     if keys:
+        if keys != list(net.spans)[len(net.spans) - len(keys) :]:
+            raise ValueError(f"trainable parameters {keys} are not a trailing slice of the net")
         for i, name in keys:
             if (i, name) not in grads:
                 raise ValueError(f"missing gradient for trainable parameter layer{i}.{name}")
@@ -360,44 +376,20 @@ def adam_step(net: MicroNet, grads: dict, lr: float) -> MicroNet:
         if not np.isfinite(g).all():
             i, name = next(key for key in keys if not np.isfinite(grads[key]).all())
             raise NumericError(f"non-finite gradient at layer{i}.{net.layers[i].kind}.{name}")
-        m, v = _adam_moments(net, keys)
-        slots = [net.adam[key] for key in keys]
-        for slot in slots:
-            slot["t"] += 1
-        sizes = [slot["m"].size for slot in slots]
+        lo = net.spans[keys[0]]
+        m, v = net.moments[:, lo:]
+        for key in keys:
+            net.steps[key] += 1
+        sizes = [net.layers[i].params[name].size for i, name in keys]
         m *= ADAM_BETA1
         m += (1 - ADAM_BETA1) * g
         v *= ADAM_BETA2
         v += (1 - ADAM_BETA2) * g * g
-        m_hat = m / np.repeat([1 - ADAM_BETA1 ** slot["t"] for slot in slots], sizes)
-        v_hat = v / np.repeat([1 - ADAM_BETA2 ** slot["t"] for slot in slots], sizes)
-        step = lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-        start = 0
-        for (i, name), size in zip(keys, sizes):
-            param = net.layers[i].params[name]
-            param -= step[start : start + size].reshape(param.shape)
-            start += size
+        m_hat = m / np.repeat([1 - ADAM_BETA1 ** net.steps[key] for key in keys], sizes)
+        v_hat = v / np.repeat([1 - ADAM_BETA2 ** net.steps[key] for key in keys], sizes)
+        net.flat[lo:] -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     net.version += 1
     return net
-
-
-def _adam_moments(net: MicroNet, keys: list) -> np.ndarray:
-    """The flat first and second moments of the parameters `keys`, kept in
-    `net.adam_moments` with `keys`.  A new trainable set gets new buffers
-    that start from each parameter's moments so far (zeros for one never
-    stepped), and `net.adam` keeps views into them."""
-    if not net.adam_moments or net.adam_moments[0] != keys:
-        flat = np.zeros((2, sum(net.layers[i].params[name].size for i, name in keys)))
-        start = 0
-        for i, name in keys:
-            param, slot = net.layers[i].params[name], net.adam.setdefault((i, name), {"t": 0})
-            for moment, row in zip("mv", flat):
-                view = row[start : start + param.size].reshape(param.shape)
-                view[...] = slot.get(moment, 0.0)
-                slot[moment] = view
-            start += param.size
-        net.adam_moments = (keys, flat)
-    return net.adam_moments[1]
 
 
 def batch_tensor(samples: list[LabeledSample]) -> np.ndarray:
@@ -604,7 +596,9 @@ def _layer_from_spec(spec: dict):
         raise DataError(f"unknown layer kind in checkpoint: {spec['kind']}")
     cls, fields = _LAYER_KINDS[spec["kind"]]
     layer = cls(*(spec[name] for name in fields))
-    if layer.params:
+    if layer.params:  # conv2d and dense, whose fields are all sizes
+        if not all(type(spec[name]) is int and spec[name] >= 1 for name in fields):
+            raise DataError(f"{spec['kind']} sizes must be integers of at least 1")
         layer.trainable = spec["trainable"]
     return layer
 
@@ -619,12 +613,8 @@ def _header(net: MicroNet) -> dict:
 
 
 def save_checkpoint(net: MicroNet, path: str | Path) -> None:
-    """One-line JSON header plus a flat little-endian float64 parameter block."""
-    blocks = []
-    for i in net.parameterized():
-        for name in sorted(net.layers[i].params):
-            blocks.append(net.layers[i].params[name].astype("<f8").tobytes())
-    write_file(path, json.dumps(_header(net)).encode("utf-8") + b"\n" + b"".join(blocks))
+    """One-line JSON header plus `net.flat` as little-endian float64."""
+    write_file(path, json.dumps(_header(net)).encode() + b"\n" + net.flat.astype("<f8").tobytes())
 
 
 def load_checkpoint(path: str | Path) -> MicroNet:
@@ -634,9 +624,13 @@ def load_checkpoint(path: str | Path) -> MicroNet:
         raise DataError(f"checkpoint has no header line: {path}")
     try:
         header = json.loads(line.decode("utf-8"))
+        layers = [_layer_from_spec(spec) for spec in header["layers"]]
+        size = sum(p.size for layer in layers for p in layer.params.values())
+        if len(block) != 8 * size:  # before `flat` is written: a huge claimed net allocates nothing
+            raise DataError(f"parameter block is {len(block)} bytes, not {8 * size}")
         net = MicroNet(
             architecture_id=header["architecture_id"],
-            layers=[_layer_from_spec(spec) for spec in header["layers"]],
+            layers=layers,
             head_start=header["head_start"],
             input_side=header["input_side"],
         )
@@ -649,13 +643,5 @@ def load_checkpoint(path: str | Path) -> MicroNet:
     except (ValueError, KeyError, TypeError, MemoryError, RecursionError) as exc:
         # DataError is a ValueError: the rules broken above land here too.
         raise DataError(f"malformed checkpoint {path}: {exc!r}") from exc
-    params = [(layer.params, name) for layer in net.layers for name in sorted(layer.params)]
-    expected = 8 * sum(p[name].size for p, name in params)
-    if len(block) != expected:
-        raise DataError(f"checkpoint parameter block is {len(block)} bytes, not {expected}: {path}")
-    values = np.frombuffer(block, dtype="<f8")
-    offset = 0
-    for p, name in params:
-        p[name] = values[offset : offset + p[name].size].reshape(p[name].shape).copy()
-        offset += p[name].size
+    net.flat[:] = np.frombuffer(block, dtype="<f8")
     return net

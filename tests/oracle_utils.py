@@ -3,7 +3,7 @@
 These deliberately avoid the library's own code paths: AUC by brute-force
 pair counting, gradients by central finite differences, simplex optima by
 grid search and by their optimality conditions, PNG files by a minimal
-encoder of their own.  Expected values asserted elsewhere were computed
+encoder of their own, checkpoint parameter blocks by their header's sizes.  Expected values asserted elsewhere were computed
 with these.
 `weight_iterates` and `recording_learner` are the exceptions: they watch the
 library's own weight fit and out-of-fold jobs.
@@ -11,6 +11,7 @@ library's own weight fit and out-of-fold jobs.
 
 from __future__ import annotations
 
+import json
 import pickle
 import struct
 import zlib
@@ -178,6 +179,20 @@ class PicklingPool(RecordingPool):
         self.job_bytes.append(len(sent))
         fn, job = pickle.loads(sent)
         return pickle.loads(pickle.dumps(fn(job)))
+
+
+def resized_checkpoint(raw: bytes, layer: int, field: str, value) -> bytes:
+    """The checkpoint `raw` with one layer field set to `value` and a zero
+    parameter block of the length the new header implies."""
+    header = json.loads(raw.partition(b"\n")[0])
+    header["layers"][layer][field] = value
+    count = 0
+    for spec in header["layers"]:
+        if spec["kind"] == "conv2d":
+            count += spec["out_ch"] * (spec["in_ch"] * spec["ksize"] ** 2 + 1)
+        elif spec["kind"] == "dense":
+            count += spec["out_features"] * (spec["in_features"] + 1)
+    return json.dumps(header).encode() + b"\n" + bytes(8 * count)
 
 
 def make_png(array: np.ndarray, filter_type: int = 0) -> bytes:

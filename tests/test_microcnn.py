@@ -1,5 +1,7 @@
+import copy
 import hashlib
 import json
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -31,7 +33,7 @@ from hybridens.microcnn import (
     train_two_phase,
 )
 from hybridens.weighting import mean_bce
-from oracle_utils import fd_gradient, rel_error
+from oracle_utils import fd_gradient, rel_error, resized_checkpoint
 
 
 def tiny_net(rng, dropout=0.0, side=10):
@@ -487,10 +489,78 @@ def test_adam_matches_a_per_parameter_reference_bit_for_bit_across_phases():
             adam_step(net, {key: g.copy() for key, g in grads.items()}, lr)
             reference_adam_step(reference, state, grads, lr)
             assert param_digest(net) == param_digest(reference)
-    assert {key: slot["t"] for key, slot in net.adam.items()} == {
+    assert net.steps == {
         key: slot["t"] for key, slot in state.items()
     } == {(0, "b"): 2, (0, "w"): 2, (3, "b"): 5, (3, "w"): 5,
           (7, "b"): 10, (7, "w"): 10, (10, "b"): 10, (10, "w"): 10}
+
+
+def random_adam_steps(net, rng, steps, lr):
+    for _ in range(steps):
+        adam_step(net, {(i, name): rng.standard_normal(net.layers[i].params[name].shape)
+                        for i, name in net.trainable_params()}, lr)
+
+
+@pytest.mark.parametrize("round_trip", [lambda net: pickle.loads(pickle.dumps(net)),
+                                        copy.deepcopy], ids=["pickle", "deepcopy"])
+def test_a_net_copied_partway_through_training_ends_bit_identical(round_trip):
+    def train(copy_after_phase1):
+        net = build_micronet("convA", 16, 0.0, np.random.default_rng(48))
+        rng = np.random.default_rng(49)
+        set_trainability(net, 0)
+        random_adam_steps(net, rng, 3, 1e-2)
+        if copy_after_phase1:
+            net = round_trip(net)
+        random_adam_steps(net, rng, 3, 1e-2)
+        set_trainability(net, 1)
+        random_adam_steps(net, rng, 3, 1e-3)
+        return net
+
+    copied, kept = train(True), train(False)
+    assert copied.flat.tobytes() == kept.flat.tobytes()
+    assert param_digest(copied) == param_digest(kept)
+    assert copied.moments.tobytes() == kept.moments.tobytes()
+    assert copied.steps == kept.steps
+
+
+def test_unpickled_and_loaded_nets_train_their_layer_arrays(tmp_path):
+    net = build_micronet("convB", 16, 0.25, np.random.default_rng(50))
+    save_checkpoint(net, tmp_path / "net.ckpt")
+    for other in (pickle.loads(pickle.dumps(net)), load_checkpoint(tmp_path / "net.ckpt")):
+        params = [other.layers[i].params[name] for i, name in other.spans]
+        assert all(np.shares_memory(other.flat, p) for p in params)
+        before = [p.copy() for p in params]
+        set_trainability(other, 2)
+        adam_step(other, {key: np.ones(p.shape) for key, p in zip(other.spans, params)}, 1e-2)
+        assert all((p < b).all() for p, b in zip(params, before))
+
+
+def test_adam_step_rejects_a_trainable_set_that_is_not_a_trailing_slice():
+    net = build_micronet("convA", 16, 0.0, np.random.default_rng(51))
+    set_trainability(net, 2)
+    random_adam_steps(net, np.random.default_rng(52), 2, 1e-2)
+    net.layers[7].trainable = False  # the first dense layer, between trainable convs and head
+    flat, moments, steps = net.flat.copy(), net.moments.copy(), dict(net.steps)
+    grads = {(i, name): np.ones(net.layers[i].params[name].shape)
+             for i, name in net.trainable_params()}
+    with pytest.raises(ValueError, match="trailing slice"):
+        adam_step(net, grads, 1e-2)
+    assert net.flat.tobytes() == flat.tobytes()
+    assert net.moments.tobytes() == moments.tobytes()
+    assert net.steps == steps
+
+
+@pytest.mark.parametrize("arch", microcnn.BASE_ARCHITECTURES)
+def test_set_trainability_leaves_a_trailing_slice_trainable(arch):
+    net = build_micronet(arch, 32, 0.25, np.random.default_rng(53))
+    keys = list(net.spans)
+    backbone = [i for i in net.parameterized() if i < net.head_start]
+    for unfreeze_top in range(len(backbone) + 1):
+        set_trainability(net, unfreeze_top)
+        trainable = net.trainable_params()
+        assert trainable == keys[len(keys) - len(trainable) :]
+        assert len({i for i, _ in trainable} - {*backbone}) == 2  # the two dense layers
+        assert len({i for i, _ in trainable} & {*backbone}) == unfreeze_top
 
 
 def test_stale_cache_rejected():
@@ -693,6 +763,14 @@ def test_checkpoint_header_line_is_pinned(tmp_path):
     )
 
 
+def test_checkpoint_bytes_are_pinned(tmp_path):
+    # The whole file, parameter block included, so the parameter order of
+    # the block cannot drift either.
+    save_checkpoint(build_micronet("convA", 16, 0.25, np.random.default_rng(3)), tmp_path / "n.ckpt")
+    digest = hashlib.sha256((tmp_path / "n.ckpt").read_bytes()).hexdigest()
+    assert digest == "58eff448e23bc862294e42415033220ad98d1cce1f85e80577a5dc756706a0e0"
+
+
 @pytest.fixture(scope="module")
 def clean_checkpoint(tmp_path_factory):
     path = tmp_path_factory.mktemp("ckpt") / "convC.ckpt"
@@ -733,6 +811,12 @@ MALFORMED_CHECKPOINTS = {
     "input side a string": lambda raw: _with_header(raw, _set(["input_side"], "12")),
     "head start out of range": lambda raw: _with_header(raw, _set(["head_start"], 99)),
     "no sigmoid head": lambda raw: _with_header(raw, lambda h: h["layers"].pop()),
+    "zero kernel": lambda raw: resized_checkpoint(raw, 0, "ksize", 0),
+    "zero in channels": lambda raw: resized_checkpoint(raw, 0, "in_ch", 0),
+    "zero out channels": lambda raw: resized_checkpoint(raw, 0, "out_ch", 0),
+    "zero dense inputs": lambda raw: resized_checkpoint(raw, 5, "in_features", 0),
+    "zero dense outputs": lambda raw: resized_checkpoint(raw, 8, "out_features", 0),
+    "boolean size": lambda raw: resized_checkpoint(raw, 8, "out_features", True),
     "short parameter block": lambda raw: raw[:-8],
     "trailing bytes": lambda raw: raw + b"\0",
 }

@@ -32,7 +32,7 @@ from hybridens.pipeline import fuse_only, render_table, run_pipeline, score_rows
 from hybridens.stacking import MetaLearner, oof_predictions, train_meta
 from hybridens.synth import SynthSpec, synth_data
 from hybridens.weighting import optimize_weights
-from oracle_utils import PicklingPool, RecordingPool, simplex_kkt_gap
+from oracle_utils import PicklingPool, RecordingPool, resized_checkpoint, simplex_kkt_gap
 
 TINY = dict(
     input_side=16, batch_size=16, dropout_rate=0.25, folds=2, freeze_epochs=2,
@@ -410,7 +410,7 @@ def test_cli_train_base_writes_what_run_writes(tiny_run, tmp_path):
         assert (out / name).read_bytes() == (run_out / name).read_bytes(), name
 
 
-def test_cli_explain_resizes_to_the_net_input(tiny_run, tmp_path):
+def test_cli_explain_resizes_to_the_net_input(tiny_run, tmp_path, capsys):
     data, run_out, _ = tiny_run
     checkpoint = run_out / "checkpoints" / "convA.ckpt"
     side = load_checkpoint(checkpoint).input_side
@@ -425,6 +425,18 @@ def test_cli_explain_resizes_to_the_net_input(tiny_run, tmp_path):
     truncated.write_bytes(checkpoint.read_bytes()[:-100])
     assert cli.main(["explain", "--checkpoint", str(truncated), "--image", str(large),
                      "--out", str(tmp_path / "xai")]) == 3
+
+    # A zero kernel with the block its header implies: a data error, not a
+    # division by zero in the convolution.
+    zero_kernel = tmp_path / "zero_kernel.ckpt"
+    raw = (run_out / "checkpoints" / "convC.ckpt").read_bytes()
+    zero_kernel.write_bytes(resized_checkpoint(raw, 0, "ksize", 0))
+    capsys.readouterr()
+    assert cli.main(["explain", "--checkpoint", str(zero_kernel), "--image", str(large),
+                     "--out", str(tmp_path / "zero")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: malformed checkpoint") and "Traceback" not in err
+    assert not (tmp_path / "zero").exists()
 
 
 def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
