@@ -239,10 +239,9 @@ class MicroNet:
         self.steps = dict.fromkeys(keys, 0)
         self._bind()
 
-    def __setstate__(self, state: dict) -> None:
-        # Pickling copies each view on its own: point them back into `flat`.
-        self.__dict__.update(state)
-        self._bind()
+    def __reduce__(self):
+        # Each parameter once, in `flat`; the layers go as their checkpoint specs.
+        return _unpickled_net, (_header(self), self.version, self.flat, self.moments, self.steps)
 
     def _bind(self) -> None:
         for (i, name), lo in self.spans.items():
@@ -610,6 +609,13 @@ def _header(net: MicroNet) -> dict:
         "head_start": net.head_start,
         "layers": [_layer_spec(layer) for layer in net.layers],
     }
+
+
+def _unpickled_net(header: dict, version: int, flat, moments, steps) -> MicroNet:
+    layers = [_layer_from_spec(spec) for spec in header["layers"]]
+    net = MicroNet(header["architecture_id"], layers, header["head_start"], header["input_side"])
+    net.version, net.flat[:], net.moments, net.steps = version, flat, moments, steps
+    return net
 
 
 def save_checkpoint(net: MicroNet, path: str | Path) -> None:

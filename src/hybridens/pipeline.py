@@ -39,10 +39,10 @@ SPLIT_RATIOS = (0.6, 0.2, 0.2)
 FIT_FRACTION = 0.5  # share of each class that `fuse_only` fits on
 
 
-try:  # glibc; where it is missing, freed heap pages are left to the allocator
-    _malloc_trim = ctypes.CDLL(None).malloc_trim
-except (AttributeError, OSError, TypeError):
-    _malloc_trim = None
+try:  # glibc's malloc_trim and mallopt; where either is missing, its call is skipped
+    _libc = ctypes.CDLL(None)
+except (OSError, TypeError):
+    _libc = None
 
 
 def returns_free_heap(fn):
@@ -58,8 +58,8 @@ def returns_free_heap(fn):
         try:
             return fn(*args, **kwargs)
         finally:
-            if _malloc_trim is not None:
-                _malloc_trim(0)
+            if hasattr(_libc, "malloc_trim"):
+                _libc.malloc_trim(0)
     return run
 
 
@@ -98,7 +98,8 @@ def job_map(jobs: int, samples: Sequence[LabeledSample]) -> Iterator[Callable]:
     Each pool worker starts with `samples`, the run's samples: a forked
     worker inherits the list, and under spawn or forkserver the pool's
     initializer pickles it once per worker.  A job then carries each list of
-    these samples as their indices, and the worker swaps them back."""
+    these samples as their indices, and the worker swaps them back.  The
+    initializer also fixes glibc's mmap and trim thresholds in each worker."""
     workers = _worker_count(jobs)
     if workers <= 1:
         yield map
@@ -131,9 +132,15 @@ class _Picks(tuple):
 
 
 def _keep_samples(samples: Sequence[LabeledSample]) -> None:
-    """A pool worker's initializer: keep the samples that its jobs pick by index."""
+    """A pool worker's initializer: keep the samples that its jobs pick by index,
+    and fix glibc's mmap threshold at 4 MiB and its trim threshold at 8 MiB, so
+    training's large temporaries (1.2 MB conv outputs) reuse heap pages, not
+    fresh mappings.  Only pool workers run this: the caller's allocator stays."""
     global _worker_samples
     _worker_samples = samples
+    if hasattr(_libc, "mallopt"):
+        _libc.mallopt(-3, 4 << 20)  # M_MMAP_THRESHOLD
+        _libc.mallopt(-1, 8 << 20)  # M_TRIM_THRESHOLD
 
 
 def _by_index(x, index: dict):

@@ -523,6 +523,23 @@ def test_a_net_copied_partway_through_training_ends_bit_identical(round_trip):
     assert copied.steps == kept.steps
 
 
+def test_a_pickled_net_carries_each_parameter_once():
+    """Only `flat` carries the parameter values; the layers' views are not
+    pickled as arrays of their own, and the copy keeps the net's state."""
+    net = build_micronet("convA", 32, 0.25, np.random.default_rng(52))
+    set_trainability(net, 1)
+    random_adam_steps(net, np.random.default_rng(53), 2, 1e-2)
+    with_views = len(pickle.dumps(vars(net)))  # the net's fields, views included
+    assert with_views - len(pickle.dumps(net)) >= net.flat.nbytes
+    assert all(np.shares_memory(net.flat, net.layers[i].params[name]) for i, name in net.spans)
+    copied = pickle.loads(pickle.dumps(net))
+    assert microcnn._header(copied) == microcnn._header(net)  # kinds, sizes, rates, trainable
+    assert copied.version == net.version == 2
+    assert copied.steps == net.steps
+    assert copied.flat.tobytes() == net.flat.tobytes()
+    assert copied.moments.tobytes() == net.moments.tobytes()
+
+
 def test_unpickled_and_loaded_nets_train_their_layer_arrays(tmp_path):
     net = build_micronet("convB", 16, 0.25, np.random.default_rng(50))
     save_checkpoint(net, tmp_path / "net.ckpt")

@@ -16,6 +16,7 @@ from concurrent.futures.process import BrokenProcessPool
 from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -268,7 +269,7 @@ def test_each_model_curve_is_built_once(tmp_path, monkeypatch):
 def test_fuse_and_evaluate_trim_the_heap_when_they_return(tmp_path, monkeypatch):
     """Each call hands the C heap's free pages back once, on success or error."""
     trims = []
-    monkeypatch.setattr(pipeline, "_malloc_trim", trims.append)
+    monkeypatch.setattr(pipeline, "_libc", SimpleNamespace(malloc_trim=trims.append))
     rng = np.random.default_rng(2)
     path = tmp_path / "p.csv"
     save_predictions_csv(path, rng.random((60, 3)), rng.integers(0, 2, 60), list("x" * 60))
@@ -279,6 +280,31 @@ def test_fuse_and_evaluate_trim_the_heap_when_they_return(tmp_path, monkeypatch)
     with pytest.raises(DataError):
         fuse_only(tmp_path / "missing.csv", RunConfig(seed=2))
     assert trims == [0, 0, 0]
+
+
+def test_a_pool_workers_initializer_fixes_glibcs_thresholds_and_keeps_the_samples(monkeypatch):
+    calls, samples = [], ["sample"]
+    monkeypatch.setattr(pipeline, "_libc", SimpleNamespace(mallopt=lambda *args: calls.append(args)))
+    monkeypatch.setattr(pipeline, "_worker_samples", ())
+    pipeline._keep_samples(samples)
+    assert calls == [(-3, 4 << 20), (-1, 8 << 20)]  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
+    assert pipeline._worker_samples is samples
+    for libc in (SimpleNamespace(), None):  # a libc without mallopt, no libc handle
+        monkeypatch.setattr(pipeline, "_libc", libc)
+        pipeline._keep_samples(samples)
+        assert pipeline._worker_samples is samples
+
+
+def test_one_worker_leaves_the_callers_allocator_alone(monkeypatch):
+    """With one worker the jobs run in the caller's process, whose allocator
+    no library call changes."""
+    calls = []
+    monkeypatch.setattr(pipeline, "_libc", SimpleNamespace(mallopt=lambda *args: calls.append(args)))
+    monkeypatch.setattr(pipeline, "_worker_count", lambda jobs: 1)
+    with pipeline.job_map(9, ["sample"]) as run:
+        assert list(run(len, [(0, "a"), (1, "b")])) == [2, 2]
+    assert calls == []
+
 
 def make_fuse_csv(path, n=80, seed=0, perfect_first=False):
     rng = np.random.default_rng(seed)
