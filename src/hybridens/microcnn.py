@@ -107,9 +107,11 @@ class Relu:
 
 class MaxPool2:
     """2x2 max pooling, stride 2; odd trailing rows/columns are dropped and get
-    zero gradient. A window's gradient goes to its first maximum in row-major
-    order, the element argmax picks, so a tie (an all-zero window after a
-    ReLU) routes it to one element."""
+    zero gradient.  Training and batch inference feed it none: they cut each
+    image to the window the head sees (`extent`), so only `forward` on whole
+    images, as Grad-CAM runs it, does.  A window's gradient goes to its first
+    maximum in row-major order, the element argmax picks, so a tie (an
+    all-zero window after a ReLU) routes it to one element."""
 
     kind = "maxpool2"
     trainable = False
@@ -391,20 +393,43 @@ def adam_step(net: MicroNet, grads: dict, lr: float) -> MicroNet:
     return net
 
 
-def batch_tensor(samples: list[LabeledSample]) -> np.ndarray:
-    return np.stack([s.payload for s in samples])[:, None, :, :].astype(np.float64)
+def extent(net: MicroNet, side: int) -> int:
+    """How many leading rows (or columns) of an image axis `side` long reach
+    `net`'s first dense layer: valid convolutions and floor 2x2 pooling never
+    read the rest.  `side` when there is no dense layer, or when the layers
+    would reject that side, so that they still do."""
+    top = next((i for i, layer in enumerate(net.layers) if layer.kind == "dense"), 0)
+    walk = [layer for layer in net.layers[:top] if layer.kind in ("conv2d", "maxpool2")]
+    s = side
+    for layer in walk:
+        s = s - layer.ksize + 1 if layer.kind == "conv2d" else s // 2
+        if s < 1:
+            return side
+    for layer in reversed(walk):
+        s = s + layer.ksize - 1 if layer.kind == "conv2d" else 2 * s
+    return s
 
 
-def _infer(layers: list, inputs: list[LabeledSample] | np.ndarray, batch_size: int) -> np.ndarray:
-    """Inference-mode outputs of `layers` for every input, in batches of
-    `batch_size`: labeled samples, or an array of inputs to the first layer,
-    one per image.  No backward context is kept, so each layer's input is
-    freed as soon as its output exists."""
+def batch_tensor(samples: list[LabeledSample], net: MicroNet) -> np.ndarray:
+    """The (N, 1, H, W) float64 batch of the payloads' top-left windows that
+    reach `net`'s head, sliced before they are stacked: one copy."""
+    shape = samples[0].payload.shape
+    if any(s.payload.shape != shape for s in samples):
+        raise DataError(f"a batch mixes image shapes {sorted({s.payload.shape for s in samples})}")
+    h, w = (extent(net, side) for side in shape)
+    return np.stack([s.payload[:h, :w] for s in samples], dtype=np.float64)[:, None]
+
+
+def _infer(net: MicroNet, inputs, batch_size: int, start: int, stop: int) -> np.ndarray:
+    """Inference-mode outputs of layers `start`..`stop - 1` for every input, in
+    batches of `batch_size`: labeled samples (with start 0), or an array of
+    inputs to layer `start`, one per image.  No backward context is kept, so
+    each layer's input is freed as soon as its output exists."""
     out = np.empty(0)
     for i in range(0, len(inputs), batch_size):
         x = inputs[i : i + batch_size]
-        x = x if isinstance(x, np.ndarray) else batch_tensor(x)
-        for layer in layers:
+        x = x if isinstance(x, np.ndarray) else batch_tensor(x, net)
+        for layer in net.layers[start:stop]:
             x = layer.forward(x, False, None)[0]
         if i == 0:
             out = np.empty((len(inputs), *x.shape[1:]))
@@ -417,10 +442,11 @@ def predict_proba(
 ) -> np.ndarray:
     """Inference-mode probabilities, batched.
 
-    `samples` are labeled samples, or an array of the inputs to layer
-    `start`, one per image, as `_run_epochs` stores them.
+    `samples` are labeled samples, of which only the window `batch_tensor`
+    cuts is read, or an array of the inputs to layer `start`, one per image,
+    as `_run_epochs` stores them.
     """
-    return _infer(net.layers[start:], samples, batch_size)
+    return _infer(net, samples, batch_size, start, len(net.layers))
 
 
 def _run_epochs(
@@ -441,8 +467,8 @@ def _run_epochs(
     dropouts = [i for i, layer in enumerate(net.layers) if layer.kind == "dropout"]
     stop = min([_lowest_trainable(net), *dropouts])
     # The same batches as `predict_proba`, so what runs on them matches it bit for bit.
-    feats = _infer(net.layers[:stop], train, batch_size)
-    val_feats = _infer(net.layers[:stop], val, batch_size)
+    feats = _infer(net, train, batch_size, 0, stop)
+    val_feats = _infer(net, val, batch_size, 0, stop)
     for epoch in range(epochs):
         order = rng.permutation(len(train))
         losses = []

@@ -16,10 +16,11 @@ import pickle
 import struct
 import zlib
 from concurrent.futures import Future
+from types import SimpleNamespace
 
 import numpy as np
 
-from hybridens import weighting
+from hybridens import pipeline, weighting
 
 
 def mw_auc(labels: np.ndarray, scores: np.ndarray) -> float:
@@ -136,13 +137,21 @@ class RecordingPool:
     """A stand-in for ProcessPoolExecutor that runs each job in this process
     when it is submitted and records the jobs in `submitted`, in submission
     order.  It runs the pool's initializer here, once, as each worker runs
-    it in its own process."""
+    it in its own process, but against a stand-in glibc handle that records
+    the initializer's `mallopt` calls in `libc_calls`: the allocator of this
+    process, and so of every later test, stays the caller's."""
 
     submitted: list = []
+    libc_calls: list = []
 
     def __init__(self, workers, initializer=None, initargs=()):
         if initializer is not None:
-            initializer(*initargs)
+            libc = pipeline._libc
+            pipeline._libc = SimpleNamespace(mallopt=lambda *args: self.libc_calls.append(args))
+            try:
+                initializer(*initargs)
+            finally:
+                pipeline._libc = libc
 
     def __enter__(self):
         return self

@@ -237,6 +237,98 @@ def test_forward_from_a_later_layer_matches_the_full_pass():
         backward(net, part_cache, y)
 
 
+@pytest.mark.parametrize(
+    "arch, side, expected",
+    [("convA", 32, 30), ("convB", 32, 30), ("convC", 32, 28),
+     ("convA", 16, 14), ("convB", 16, 14), ("convC", 16, 12)],
+)
+def test_extent_is_the_window_the_dense_head_sees(arch, side, expected):
+    # convA at 16 px: 16 -conv3-> 14 -pool-> 7 -conv3-> 5 -pool-> 2 -pool-> 1,
+    # and back: 1 -> 2 -> 4 -> 6 -> 12 -> 14.
+    rng = np.random.default_rng(side)
+    net = build_micronet(arch, side, 0.0, rng)
+    assert microcnn.extent(net, side) == expected
+    assert microcnn.extent(net, 4) == 4  # too small for the layers: left whole
+    # At these sides batch inference gives the whole image's bits, so runs at
+    # 16 and 32 px score each image as `forward()` on it does.
+    images = rng.random((5, side, side))
+    full = forward(net, images[:, None])[0]
+    assert predict_proba(net, _images_as_samples(images)).tobytes() == full.tobytes()
+
+
+def _images_as_samples(images):
+    return [LabeledSample(f"s{i}", 0, image, i % 2) for i, image in enumerate(images)]
+
+
+def _dense_input_shape(net, x):
+    for layer in net.layers[: net.head_start]:
+        x = layer.forward(x, False, None)[0]
+    return x.shape
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(["tiny", *microcnn.BASE_ARCHITECTURES]), data=st.data())
+def test_predict_proba_reads_only_the_window_the_head_sees(kind, data):
+    side = data.draw(st.integers(8 if kind == "tiny" else 10, 48), label="net side")
+    near = st.integers(max(8, side - 3), min(48, side + 3))
+    h, w = (data.draw(near | st.integers(8, 48), label=axis) for axis in "hw")
+    rng = np.random.default_rng(side)
+    net = tiny_net(rng, side=side) if kind == "tiny" else build_micronet(kind, side, 0.25, rng)
+    images = rng.random((3, h, w))
+    try:
+        full = forward(net, images[:, None])[0]
+    except DataError:  # a size the whole stack rejects is rejected on the window too
+        with pytest.raises(DataError):
+            predict_proba(net, _images_as_samples(images))
+        return
+    probs = predict_proba(net, _images_as_samples(images))
+    eh, ew = microcnn.extent(net, h), microcnn.extent(net, w)
+    assert probs.tobytes() == forward(net, images[:, None, :eh, :ew])[0].tobytes()
+    # A GEMM over fewer columns may round its last ones in another kernel
+    # (convA built at 12 px does), so the full image agrees to rounding.
+    assert rel_error(probs, full) <= 1e-12
+    noisy = images.copy()
+    noisy[:, eh:] = rng.normal(0.0, 1e3, noisy[:, eh:].shape)
+    noisy[:, :, ew:] = rng.normal(0.0, 1e3, noisy[:, :, ew:].shape)
+    assert predict_proba(net, _images_as_samples(noisy)).tobytes() == probs.tobytes()
+    # No smaller window would do: one row or column less changes what the head sees.
+    shape = _dense_input_shape(net, images[:, None])
+    for cut in (images[:, None, : eh - 1], images[:, None, :, : ew - 1]):
+        try:
+            assert _dense_input_shape(net, cut) != shape
+        except DataError:
+            pass
+
+
+def test_predict_proba_rejects_a_batch_of_mixed_image_shapes():
+    net = build_micronet("convA", 32, 0.25, np.random.default_rng(0))
+    rng = np.random.default_rng(1)
+    samples = _images_as_samples([rng.random((32, 32)), rng.random((31, 31))])
+    with pytest.raises(DataError, match="mixes image shapes"):
+        predict_proba(net, samples)
+
+
+@pytest.mark.parametrize("arch", ["tiny", *microcnn.BASE_ARCHITECTURES])
+def test_gradients_on_the_window_match_the_full_images(arch):
+    """With every layer trainable, the conv gradients on the window sum the
+    full images' terms less exact zeros, so only their rounding may move;
+    every other gradient is the same bits."""
+    rng = np.random.default_rng(48)
+    net = tiny_net(rng, side=11) if arch == "tiny" else build_micronet(arch, 32, 0.0, rng)
+    images = rng.random((5, net.input_side, net.input_side))
+    y = np.array([1, 0, 1, 1, 0])
+    window = batch_tensor(_images_as_samples(images), net)
+    assert window.shape[2] == window.shape[3] < net.input_side
+    full = backward(net, forward(net, images[:, None])[1], y)
+    cut = backward(net, forward(net, window)[1], y)
+    assert sorted(cut) == sorted(full) == net.trainable_params()
+    for key, g in full.items():
+        if net.layers[key[0]].kind == "conv2d":
+            assert rel_error(cut[key], g) <= 1e-12, key
+        else:
+            assert cut[key].tobytes() == g.tobytes(), key
+
+
 @pytest.mark.parametrize("kind", ["relu", "maxpool2", "sigmoid_head"])
 def test_parameterless_layer_input_gradients(kind):
     rng = np.random.default_rng(8)
@@ -658,8 +750,9 @@ def test_training_is_bit_deterministic():
 
 def reference_two_phase(net, train, val, config, rng):
     """The training loop with no stored prefix: every batch runs the whole
-    stack from its images, with the same rng draws as train_two_phase, and
-    each epoch scores `val` through `predict_proba`."""
+    stack from its images, cut to the window the head sees as
+    train_two_phase cuts them, with the same rng draws, and each epoch
+    scores `val` through `predict_proba`."""
     labels = np.array([s.label for s in train], dtype=np.int64)
     val_y = np.array([s.label for s in val], dtype=np.int64)
     losses, val_losses = [], []
@@ -673,7 +766,7 @@ def reference_two_phase(net, train, val, config, rng):
             epoch_losses = []
             for start in range(0, len(train), config.batch_size):
                 take = order[start : start + config.batch_size]
-                batch = batch_tensor([train[i] for i in take])
+                batch = batch_tensor([train[i] for i in take], net)
                 probs, cache = forward(net, batch, training=True, rng=rng)
                 epoch_losses.append(mean_bce(probs, labels[take]))
                 adam_step(net, backward(net, cache, labels[take]), lr)

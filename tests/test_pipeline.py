@@ -306,6 +306,22 @@ def test_one_worker_leaves_the_callers_allocator_alone(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("pool", [RecordingPool, PicklingPool])
+def test_the_stand_in_pools_leave_the_test_processs_allocator_alone(monkeypatch, pool):
+    """They run the workers' initializer in this process, so it must not
+    reach glibc: later tests would run under the workers' thresholds."""
+    calls = []
+    monkeypatch.setattr(pipeline, "_libc", SimpleNamespace(mallopt=lambda *args: calls.append(args)))
+    monkeypatch.setattr(pipeline, "_worker_count", lambda jobs: 2)
+    monkeypatch.setattr(pipeline, "_worker_samples", ())
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+    monkeypatch.setattr(pool, "libc_calls", [])
+    with pipeline.job_map(9, ["sample"]) as run:
+        assert list(run(len, [(0, "a"), (1, "b")])) == [2, 2]
+    assert calls == []
+    assert pool.libc_calls == [(-3, 4 << 20), (-1, 8 << 20)]
+
+
 def make_fuse_csv(path, n=80, seed=0, perfect_first=False):
     rng = np.random.default_rng(seed)
     labels = rng.integers(0, 2, n)
