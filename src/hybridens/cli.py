@@ -13,7 +13,7 @@ from pathlib import Path
 from . import microcnn, pipeline
 from .config import RunConfig
 from .data import load_predictions_csv
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError, NumericError, error_context
 from .imageio import bilinear_resize, read_image
 from .synth import SynthSpec, synth_data
 
@@ -52,10 +52,12 @@ def cmd_synth_data(args: argparse.Namespace) -> int:
 def cmd_train_base(args: argparse.Namespace) -> int:
     config = _load_config(args)
     out = Path(args.out)
-    samples = pipeline.load_image_dir(args.data, config.input_side)
-    split = pipeline.split_dataset(samples, pipeline.SPLIT_RATIOS, config.seed)
-    with pipeline.job_map(config.K, samples) as pool_map:
-        pipeline.train_bases(config, samples, split, out, pool_map)
+    with error_context("stage ingest"):
+        samples = pipeline.load_image_dir(args.data, config.input_side)
+    with error_context("stage split"):
+        split = pipeline.split_dataset(samples, pipeline.SPLIT_RATIOS, config.seed)
+    with error_context("stage train-base"):
+        pipeline.train_bases(config, samples, split, out, pipeline.pool_map)
     print(f"trained {config.K} base models; checkpoints and predictions under {out}")
     return 0
 

@@ -672,6 +672,17 @@ def load_checkpoint(path: str | Path) -> MicroNet:
         typed += [isinstance(layer.trainable, bool) for layer in net.layers]
         if header != _header(net) or not all(typed):
             raise DataError("unknown keys or values of the wrong type in the header")
+        top = next((i for i, layer in enumerate(layers) if layer.kind == "dense"), None)
+        if top is not None:  # worked out from the sizes: no image of `side` is made
+            c, s = 1, side
+            for layer in layers[:top]:
+                if layer.kind == "conv2d":
+                    c, s = layer.out_ch, max(s - layer.ksize + 1, 0)
+                elif layer.kind == "maxpool2":
+                    s //= 2
+            if c * s * s != layers[top].in_features:
+                raise DataError(f"input side {side} brings {c * s * s} features to the "
+                                f"first dense layer, which takes {layers[top].in_features}")
     except (ValueError, KeyError, TypeError, MemoryError, RecursionError) as exc:
         # DataError is a ValueError: the rules broken above land here too.
         raise DataError(f"malformed checkpoint {path}: {exc!r}") from exc

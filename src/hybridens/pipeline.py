@@ -13,10 +13,9 @@ import functools
 import json
 import math
 import os
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -84,87 +83,56 @@ def _worker_count(jobs: int) -> int:
     return min(cpus, jobs)
 
 
-@contextmanager
-def job_map(jobs: int, samples: Sequence[LabeledSample]) -> Iterator[Callable]:
-    """A `map` for up to `jobs` independent jobs: a process pool's, or the
-    builtin `map` when only one worker would run.  Each job is seeded by its
-    own tag and its result is placed by its index, so no output depends on
-    the worker count.  A job is a tuple that starts with its submission key:
-    the pool submits in ascending key order, ties in input order, so keys
-    that put the longest jobs first keep any worker from idling at the end
+def pool_map(fn: Callable, jobs: list) -> list:
+    """`list(map(fn, jobs))` through a process pool, or through the builtin
+    `map` when only one worker would run.  Each job is seeded by its own tag
+    and its result is placed by its index, so no output depends on the
+    worker count.  A job is a tuple that starts with its submission key: the
+    pool submits in ascending key order, ties in input order, so keys that
+    put the longest jobs first keep any worker from idling at the end
     (Graham's longest-processing-time rule).  Results come back in input
-    order, so the first failing job in input order raises.
+    order, so the first failing job in input order raises, and the jobs no
+    worker has started are cancelled.
 
-    Each pool worker starts with `samples`, the run's samples: a forked
-    worker inherits the list, and under spawn or forkserver the pool's
-    initializer pickles it once per worker.  A job then carries each list of
-    these samples as their indices, and the worker swaps them back.  The
+    Each pool worker starts with `(fn, jobs)`: a forked worker inherits
+    them, and under spawn or forkserver the pool's initializer pickles them
+    once per worker.  A submission then carries only its job number.  The
     initializer also fixes glibc's mmap and trim thresholds in each worker."""
-    workers = _worker_count(jobs)
+    workers = _worker_count(len(jobs))
     if workers <= 1:
-        yield map
-        return
+        return list(map(fn, jobs))
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(workers, initializer=_keep_samples, initargs=(samples,)) as pool:
-        yield functools.partial(_map_by_key, pool, {id(s): i for i, s in enumerate(samples)})
-
-
-def _map_by_key(pool, index: dict, fn: Callable, jobs: list) -> Iterator:
-    """`pool.map(fn, jobs)`, but submitted in ascending order of `job[0]`,
-    each job with its lists of samples swapped for their `index` entries."""
     order = sorted(range(len(jobs)), key=lambda i: jobs[i][0])
-    run = functools.partial(_run_with_samples, fn)
-    futures = {i: pool.submit(run, _by_index(jobs[i], index)) for i in order}
-    try:
-        for i in range(len(jobs)):
-            yield futures.pop(i).result()
-    finally:  # on a failure, cancel the jobs no worker has started
-        for future in futures.values():
-            future.cancel()
+    with ProcessPoolExecutor(workers, initializer=_keep_jobs, initargs=(fn, jobs)) as pool:
+        futures = {i: pool.submit(_run_job, i) for i in order}
+        try:
+            return [futures.pop(i).result() for i in range(len(jobs))]
+        finally:  # on a failure, cancel the jobs no worker has started
+            for future in futures.values():
+                future.cancel()
 
 
-_worker_samples: Sequence[LabeledSample] = ()  # set in each pool worker by `_keep_samples`
+_worker_jobs: tuple = ()  # (fn, jobs), set in each pool worker by `_keep_jobs`
 
 
-class _Picks(tuple):
-    """Indices into a pool worker's samples: a list of samples, as a job carries it."""
-
-
-def _keep_samples(samples: Sequence[LabeledSample]) -> None:
-    """A pool worker's initializer: keep the samples that its jobs pick by index,
-    and fix glibc's mmap threshold at 4 MiB and its trim threshold at 8 MiB, so
-    training's large temporaries (1.2 MB conv outputs) reuse heap pages, not
-    fresh mappings.  Only pool workers run this: the caller's allocator stays."""
-    global _worker_samples
-    _worker_samples = samples
+def _keep_jobs(fn: Callable, jobs: list) -> None:
+    """A pool worker's initializer: keep `fn` and the jobs that its submissions
+    name by number, and fix glibc's mmap threshold at 4 MiB and its trim
+    threshold at 8 MiB, so training's large temporaries (1.2 MB conv outputs)
+    reuse heap pages, not fresh mappings.  Only pool workers run this: the
+    caller's allocator stays."""
+    global _worker_jobs
+    _worker_jobs = fn, jobs
     if hasattr(_libc, "mallopt"):
         _libc.mallopt(-3, 4 << 20)  # M_MMAP_THRESHOLD
         _libc.mallopt(-1, 8 << 20)  # M_TRIM_THRESHOLD
 
 
-def _by_index(x, index: dict):
-    """`x` with each list of samples in `index` (by id), nested in lists and
-    tuples, swapped for a `_Picks` of their indices."""
-    if isinstance(x, list) and x and all(id(s) in index for s in x):
-        return _Picks(index[id(s)] for s in x)
-    if type(x) in (list, tuple):
-        return type(x)(_by_index(v, index) for v in x)
-    return x
-
-
-def _by_sample(x):
-    """The inverse of `_by_index`, in a pool worker."""
-    if isinstance(x, _Picks):
-        return [_worker_samples[i] for i in x]
-    if type(x) in (list, tuple):
-        return type(x)(_by_sample(v) for v in x)
-    return x
-
-
-def _run_with_samples(fn: Callable, job):
-    """A pool worker's side of `_map_by_key`: `fn` of the job with its samples."""
-    return fn(_by_sample(job))
+def _run_job(i: int):
+    """A pool worker's side of `pool_map`: `fn` of job number `i`."""
+    fn, jobs = _worker_jobs
+    return fn(jobs[i])
 
 
 def _json_value(x: float) -> float | None:
@@ -246,7 +214,7 @@ def _train_net(job: tuple) -> tuple[microcnn.MicroNet, list[dict], list[np.ndarr
     """Build one net, two-phase-train it on `fit` (scoring `val` each epoch
     when given) and predict each query set with it.  A base net (fold None)
     draws from the ("init"|"train", arch) streams, an out-of-fold net from
-    ("oof-init"|"oof-train", arch, fold).  `job[0]` is read by `job_map` only."""
+    ("oof-init"|"oof-train", arch, fold).  `job[0]` is read by `pool_map` only."""
     _, config, arch, fold, fit, val, queries = job
     stage, tags = ("", (arch,)) if fold is None else ("oof-", (arch, fold))
     init_rng = rng_for(config.seed, stage + "init", *tags)
@@ -379,23 +347,22 @@ def run_pipeline(
     val_labels = np.array([s.label for s in val], dtype=np.int64)
     test_labels = np.array([s.label for s in test], dtype=np.int64)
 
-    with job_map(config.K * config.folds, samples) as pool_map:
-        with error_context("stage train-base"):
-            nets, val_preds, test_preds, _ = train_bases(config, samples, split, out, pool_map)
+    with error_context("stage train-base"):
+        nets, val_preds, test_preds, _ = train_bases(config, samples, split, out, pool_map)
 
-        with error_context("stage weights"):
-            fit = weighting.optimize_weights(val_preds, val_labels)
-            _write_json(out / "weights.json", fit.to_dict())
+    with error_context("stage weights"):
+        fit = weighting.optimize_weights(val_preds, val_labels)
+        _write_json(out / "weights.json", fit.to_dict())
 
-        with error_context("stage oof"):
-            folds = assign_folds(samples, split.train_ids, config.folds, config.seed)
-            learners = [functools.partial(_oof_net, config, arch) for arch in arch_ids]
-            costs = [microcnn.training_cost(arch, config) for arch in arch_ids]
-            oof = stacking.oof_predictions(
-                samples, split.train_ids, folds, learners, pool_map, costs
-            )
-            oof_ids = [samples[i].sample_id for i in oof.train_ids]
-            save_predictions_csv(out / "oof.csv", oof.matrix, oof.labels, oof_ids, oof.fold_of)
+    with error_context("stage oof"):
+        folds = assign_folds(samples, split.train_ids, config.folds, config.seed)
+        learners = [functools.partial(_oof_net, config, arch) for arch in arch_ids]
+        costs = [microcnn.training_cost(arch, config) for arch in arch_ids]
+        oof = stacking.oof_predictions(
+            samples, split.train_ids, folds, learners, pool_map, costs
+        )
+        oof_ids = [samples[i].sample_id for i in oof.train_ids]
+        save_predictions_csv(out / "oof.csv", oof.matrix, oof.labels, oof_ids, oof.fold_of)
 
     with error_context("stage meta"):
         meta = stacking.train_meta(oof.matrix, oof.labels, config.meta_ridge)

@@ -68,7 +68,7 @@ def oof_predictions(
     picklable learners.  The first failing job in (fold, k) order raises, as
     `_fit_predict` does.
     Each job starts with its submission key, (fold, -its learner's cost), so
-    `pipeline.job_map`'s pool submits fold by fold, each fold's learners in
+    `pipeline.pool_map` submits fold by fold, each fold's learners in
     descending `costs` (all equal when None), ties in learner order.
     """
     if not learners:

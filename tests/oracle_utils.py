@@ -135,23 +135,25 @@ def assert_holdouts_are_folds(calls: list, samples, train_ids, folds) -> None:
 
 class RecordingPool:
     """A stand-in for ProcessPoolExecutor that runs each job in this process
-    when it is submitted and records the jobs in `submitted`, in submission
-    order.  It runs the pool's initializer here, once, as each worker runs
-    it in its own process, but against a stand-in glibc handle that records
-    the initializer's `mallopt` calls in `libc_calls`: the allocator of this
-    process, and so of every later test, stays the caller's."""
+    when it is submitted and records each submission in `submitted` as the
+    job it names, in submission order.  It runs the pool's initializer here,
+    once, as each worker runs it in its own process, but against a stand-in
+    glibc handle that records the initializer's `mallopt` calls in
+    `libc_calls`, and it keeps the worker state that the initializer sets
+    for itself: the allocator and `pipeline._worker_jobs` of this process,
+    and so of every later test, stay the caller's."""
 
     submitted: list = []
     libc_calls: list = []
 
-    def __init__(self, workers, initializer=None, initargs=()):
-        if initializer is not None:
-            libc = pipeline._libc
-            pipeline._libc = SimpleNamespace(mallopt=lambda *args: self.libc_calls.append(args))
-            try:
-                initializer(*initargs)
-            finally:
-                pipeline._libc = libc
+    def __init__(self, workers, initializer, initargs):
+        libc, jobs = pipeline._libc, pipeline._worker_jobs
+        pipeline._libc = SimpleNamespace(mallopt=lambda *args: self.libc_calls.append(args))
+        try:
+            initializer(*initargs)
+            self.worker_jobs = pipeline._worker_jobs
+        finally:
+            pipeline._libc, pipeline._worker_jobs = libc, jobs
 
     def __enter__(self):
         return self
@@ -159,35 +161,38 @@ class RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def submit(self, fn, job):
-        self.submitted.append(job)
+    def submit(self, fn, number):
+        self.submitted.append(self.worker_jobs[1][number])
         future = Future()
+        jobs, pipeline._worker_jobs = pipeline._worker_jobs, self.worker_jobs
         try:
-            future.set_result(self.run(fn, job))
+            future.set_result(self.run(fn, number))
         except Exception as exc:  # the future holds it, as a worker's would
             future.set_exception(exc)
+        finally:
+            pipeline._worker_jobs = jobs
         return future
 
-    def run(self, fn, job):
-        return fn(job)
+    def run(self, fn, number):
+        return fn(number)
 
 
 class PicklingPool(RecordingPool):
-    """A RecordingPool that sends the initializer's arguments, each job and
-    each result through pickle, as a spawned worker receives and returns
-    them, and records the size of each pickled (function, job) pair in
-    `job_bytes`."""
+    """A RecordingPool that sends the initializer's arguments, each
+    submission and each result through pickle, as a spawned worker receives
+    and returns them, and records the size of each pickled (function, job
+    number) pair in `job_bytes`."""
 
     job_bytes: list = []
 
-    def __init__(self, workers, initializer=None, initargs=()):
+    def __init__(self, workers, initializer, initargs):
         super().__init__(workers, initializer, pickle.loads(pickle.dumps(initargs)))
 
-    def run(self, fn, job):
-        sent = pickle.dumps((fn, job))
+    def run(self, fn, number):
+        sent = pickle.dumps((fn, number))
         self.job_bytes.append(len(sent))
-        fn, job = pickle.loads(sent)
-        return pickle.loads(pickle.dumps(fn(job)))
+        fn, number = pickle.loads(sent)
+        return pickle.loads(pickle.dumps(fn(number)))
 
 
 def resized_checkpoint(raw: bytes, layer: int, field: str, value) -> bytes:

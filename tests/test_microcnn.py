@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hybridens import microcnn
 from hybridens.config import RunConfig
 from hybridens.data import LabeledSample
-from hybridens.errors import DataError, NumericError
+from hybridens.errors import ConfigError, DataError, NumericError
 from hybridens.microcnn import (
     Conv2d,
     Dense,
@@ -855,6 +855,21 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
     assert path.read_bytes() == second.read_bytes()
 
 
+def test_every_net_built_at_a_side_it_takes_loads_from_its_checkpoint(tmp_path):
+    """The loader's input-side rule rejects no net that the library or the
+    tests build: each layout at every side from 9 to 40 px, and tiny_net."""
+    nets = [tiny_net(np.random.default_rng(0), side=side) for side in (10, 11, 12)]
+    for arch in ("convA", "convB", "convC"):
+        for side in range(9, 41):
+            try:
+                nets.append(build_micronet(arch, side, 0.25, np.random.default_rng(side)))
+            except ConfigError:  # too small for this layout
+                assert side < 12
+    for net in nets:
+        save_checkpoint(net, tmp_path / "net.ckpt")
+        assert load_checkpoint(tmp_path / "net.ckpt").input_side == net.input_side
+
+
 def test_checkpoint_header_line_is_pinned(tmp_path):
     # Checkpoints written by earlier versions must keep loading, so the
     # header's keys, their order and its spacing may not drift.
@@ -919,6 +934,8 @@ MALFORMED_CHECKPOINTS = {
     "dropout rate above 1": lambda raw: _with_header(raw, _set(["layers", 7, "rate"], 2.0)),
     "trainable not a bool": lambda raw: _with_header(raw, _set(["layers", 0, "trainable"], "no")),
     "input side a string": lambda raw: _with_header(raw, _set(["input_side"], "12")),
+    "input side too large to resize to": lambda raw: _with_header(raw, _set(["input_side"], 2**62)),
+    "input side the head does not take": lambda raw: _with_header(raw, _set(["input_side"], 64)),
     "head start out of range": lambda raw: _with_header(raw, _set(["head_start"], 99)),
     "no sigmoid head": lambda raw: _with_header(raw, lambda h: h["layers"].pop()),
     "zero kernel": lambda raw: resized_checkpoint(raw, 0, "ksize", 0),

@@ -14,7 +14,6 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from collections import Counter
-from contextlib import contextmanager
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -282,17 +281,18 @@ def test_fuse_and_evaluate_trim_the_heap_when_they_return(tmp_path, monkeypatch)
     assert trims == [0, 0, 0]
 
 
-def test_a_pool_workers_initializer_fixes_glibcs_thresholds_and_keeps_the_samples(monkeypatch):
-    calls, samples = [], ["sample"]
+def test_a_pool_workers_initializer_fixes_glibcs_thresholds_and_keeps_the_jobs(monkeypatch):
+    calls, jobs = [], [(0, "job")]
     monkeypatch.setattr(pipeline, "_libc", SimpleNamespace(mallopt=lambda *args: calls.append(args)))
-    monkeypatch.setattr(pipeline, "_worker_samples", ())
-    pipeline._keep_samples(samples)
+    monkeypatch.setattr(pipeline, "_worker_jobs", ())
+    pipeline._keep_jobs(len, jobs)
     assert calls == [(-3, 4 << 20), (-1, 8 << 20)]  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
-    assert pipeline._worker_samples is samples
+    assert pipeline._worker_jobs[0] is len and pipeline._worker_jobs[1] is jobs
+    assert pipeline._run_job(0) == 2
     for libc in (SimpleNamespace(), None):  # a libc without mallopt, no libc handle
         monkeypatch.setattr(pipeline, "_libc", libc)
-        pipeline._keep_samples(samples)
-        assert pipeline._worker_samples is samples
+        pipeline._keep_jobs(len, jobs)
+        assert pipeline._worker_jobs[0] is len and pipeline._worker_jobs[1] is jobs
 
 
 def test_one_worker_leaves_the_callers_allocator_alone(monkeypatch):
@@ -301,8 +301,7 @@ def test_one_worker_leaves_the_callers_allocator_alone(monkeypatch):
     calls = []
     monkeypatch.setattr(pipeline, "_libc", SimpleNamespace(mallopt=lambda *args: calls.append(args)))
     monkeypatch.setattr(pipeline, "_worker_count", lambda jobs: 1)
-    with pipeline.job_map(9, ["sample"]) as run:
-        assert list(run(len, [(0, "a"), (1, "b")])) == [2, 2]
+    assert pipeline.pool_map(len, [(0, "a"), (1, "b")]) == [2, 2]
     assert calls == []
 
 
@@ -313,13 +312,13 @@ def test_the_stand_in_pools_leave_the_test_processs_allocator_alone(monkeypatch,
     calls = []
     monkeypatch.setattr(pipeline, "_libc", SimpleNamespace(mallopt=lambda *args: calls.append(args)))
     monkeypatch.setattr(pipeline, "_worker_count", lambda jobs: 2)
-    monkeypatch.setattr(pipeline, "_worker_samples", ())
+    monkeypatch.setattr(pipeline, "_worker_jobs", ())
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
     monkeypatch.setattr(pool, "libc_calls", [])
-    with pipeline.job_map(9, ["sample"]) as run:
-        assert list(run(len, [(0, "a"), (1, "b")])) == [2, 2]
+    assert pipeline.pool_map(len, [(0, "a"), (1, "b")]) == [2, 2]
     assert calls == []
     assert pool.libc_calls == [(-3, 4 << 20), (-1, 8 << 20)]
+    assert pipeline._worker_jobs == ()
 
 
 def make_fuse_csv(path, n=80, seed=0, perfect_first=False):
@@ -538,17 +537,24 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
         assert info.value.code == 2, argv
 
 
-def test_cli_run_exits_2_when_input_side_is_too_small_for_a_layout(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["run", "train-base"])
+def test_cli_run_exits_2_when_input_side_is_too_small_for_a_layout(tmp_path, capsys, command):
     # convA's two 3x3 conv + pool blocks need a side of at least 10.
     config = tmp_path / "config.json"
     config.write_text(json.dumps(dict(TINY, seed=1, input_side=8)))
     data = tmp_path / "d"
     synth_data(SynthSpec(subjects_per_class=6, slices_per_subject=1, image_side=16, seed=1), data)
     capsys.readouterr()
-    assert cli.main(["run", "--config", str(config), "--data", str(data),
+    assert cli.main([command, "--config", str(config), "--data", str(data),
                      "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err == "config error: stage train-base: input side 8 too small for convA\n", err
+    # numpy cannot size an image of side 2**62, so ingest fails before it allocates.
+    config.write_text(json.dumps(dict(TINY, seed=1, input_side=2**62)))
+    assert cli.main([command, "--config", str(config), "--data", str(data),
+                     "--out", str(tmp_path / "o")]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("run failed: stage ingest: ") and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize(
@@ -626,16 +632,14 @@ def test_every_job_run_pipeline_submits_pickles(tiny_run, tmp_path, monkeypatch)
     submitted = []
 
     def pickling_map(fn, jobs):
+        results = []
         for job in jobs:
             fn, job = pickle.loads(pickle.dumps((fn, job)))
             submitted.append(fn.__name__)
-            yield pickle.loads(pickle.dumps(fn(job)))
+            results.append(pickle.loads(pickle.dumps(fn(job))))
+        return results
 
-    @contextmanager
-    def job_map(jobs, samples):
-        yield pickling_map
-
-    monkeypatch.setattr(pipeline, "job_map", job_map)
+    monkeypatch.setattr(pipeline, "pool_map", pickling_map)
     out = tmp_path / "out"
     run_pipeline(RunConfig(seed=21, **TINY), data, out)
     assert submitted == ["_train_net"] * 3 + ["_fit_predict"] * 6
@@ -655,14 +659,15 @@ def serial_run(tiny_run, tmp_path_factory):
 def test_no_job_run_pipeline_submits_pickles_to_more_than_a_few_kb(
     tiny_run, serial_run, tmp_path, monkeypatch
 ):
-    """Workers start with the samples, so a job names them by index and its
-    pickle does not grow with the images it trains and predicts on."""
+    """Workers start with their stage's jobs, so a submission names its job
+    by number and its pickle does not grow with the images it trains and
+    predicts on."""
     monkeypatch.setattr(pipeline, "_worker_count", lambda jobs: 2)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", PicklingPool)
     monkeypatch.setattr(PicklingPool, "job_bytes", [])
     run_pipeline(RunConfig(seed=21, **TINY), tiny_run[0], tmp_path / "out")
     assert len(PicklingPool.job_bytes) == 9
-    assert max(PicklingPool.job_bytes) <= 4096, PicklingPool.job_bytes
+    assert max(PicklingPool.job_bytes) <= 64, PicklingPool.job_bytes
     assert_same_files(tmp_path / "out", serial_run)
 
 

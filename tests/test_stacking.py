@@ -120,9 +120,8 @@ def test_pool_raises_the_lowest_failing_job_and_cancels_the_rest(tmp_path, monke
     samples = make_samples([i % 2 for i in range(2 * n_folds)])
     folds = FoldAssignment(fold_of={i: i % n_folds for i in range(2 * n_folds)}, k=n_folds)
     learners = [functools.partial(recording, tmp_path)]
-    with pipeline.job_map(n_folds, samples) as pool_map:
-        with pytest.raises(NumericError, match="base learner 0 failed on fold 1: fold 1 failed last"):
-            oof_predictions(samples, list(range(2 * n_folds)), folds, learners, pool_map)
+    with pytest.raises(NumericError, match="base learner 0 failed on fold 1: fold 1 failed last"):
+        oof_predictions(samples, list(range(2 * n_folds)), folds, learners, pipeline.pool_map)
     # The DataError of fold 2 arrived first; jobs still queued were cancelled.
     assert (tmp_path / "fit2").exists()
     assert len(list(tmp_path.glob("fit*"))) < n_folds
@@ -148,8 +147,7 @@ def test_pool_submits_each_fold_longest_first_and_raises_in_fold_order(monkeypat
     folds = FoldAssignment(fold_of={i: i % 3 for i in range(6)}, k=3)
     # A cheap learner, a costly one and a cheap one that ties with the first.
     learners = [functools.partial(shifted, shift) for shift in (0.0, 0.1, 0.2)]
-    with pipeline.job_map(9, samples) as pool_map:
-        table = oof_predictions(samples, list(range(6)), folds, learners, pool_map, [1, 3, 1])
+    table = oof_predictions(samples, list(range(6)), folds, learners, pipeline.pool_map, [1, 3, 1])
     assert [(job[3], job[2]) for job in RecordingPool.submitted] == [
         (fold, k) for fold in range(3) for k in (1, 0, 2)
     ]
@@ -160,9 +158,8 @@ def test_pool_submits_each_fold_longest_first_and_raises_in_fold_order(monkeypat
     # one, which fails at fold 1: the error is still the serial run's.
     RecordingPool.submitted.clear()
     learners = [functools.partial(fails_at, 0, 0.0), functools.partial(fails_at, 1, 0.0)]
-    with pipeline.job_map(6, samples) as pool_map:
-        with pytest.raises(NumericError, match="base learner 0 failed on fold 0: fold 0 failed"):
-            oof_predictions(samples, list(range(6)), folds, learners, pool_map, [1, 3])
+    with pytest.raises(NumericError, match="base learner 0 failed on fold 0: fold 0 failed"):
+        oof_predictions(samples, list(range(6)), folds, learners, pipeline.pool_map, [1, 3])
     assert [(job[3], job[2]) for job in RecordingPool.submitted] == [
         (fold, k) for fold in range(3) for k in (1, 0)
     ]
@@ -178,9 +175,8 @@ def test_pool_raises_the_first_failing_job_in_fold_order_not_the_first_to_fail(
     samples = make_samples([1, 0, 1, 0, 1, 0])
     folds = FoldAssignment(fold_of={i: i % 3 for i in range(6)}, k=3)
     learners = [functools.partial(fails_at, 0, 0.5), functools.partial(fails_at, costly_fails_at, 0)]
-    with pipeline.job_map(6, samples) as pool_map:
-        with pytest.raises(NumericError, match="base learner 0 failed on fold 0: fold 0 failed"):
-            oof_predictions(samples, list(range(6)), folds, learners, pool_map, [1, 3])
+    with pytest.raises(NumericError, match="base learner 0 failed on fold 0: fold 0 failed"):
+        oof_predictions(samples, list(range(6)), folds, learners, pipeline.pool_map, [1, 3])
 
 
 def test_meta_predict_zero_parameters_is_half():
