@@ -144,30 +144,26 @@ def roc_curves(labels: np.ndarray, model_scores: dict) -> dict[str, metrics.RocC
     return {name: metrics.roc_curve(labels, s) for name, s in model_scores.items()}
 
 
+def _subject_means(
+    model_scores: dict[str, np.ndarray], labels: np.ndarray, subject_ids: list[str]
+) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """Each model's mean score per subject, subjects in sorted order, and each
+    subject's label (its last slice's)."""
+    ids = np.asarray(subject_ids)
+    members = [ids == subject for subject in sorted(set(subject_ids))]
+    means = {name: np.array([np.mean(s[m]) for m in members]) for name, s in model_scores.items()}
+    return means, np.array([labels[m][-1] for m in members], dtype=np.int64)
+
+
 def score_rows(
-    model_scores: dict[str, np.ndarray],
-    labels: np.ndarray,
-    tau: float,
-    curves: dict[str, metrics.RocCurve],
-    subjects: list[str] | None = None,
-    eval_level: str = "slice",
+    model_scores: dict, labels: np.ndarray, tau: float, curves: dict[str, metrics.RocCurve]
 ) -> list[dict]:
-    """ACC/SEN/SPE/AUC rows, optionally after subject-mean aggregation.
-    Slice-level AUCs come from `curves`, the `roc_curves` of these scores."""
+    """ACC/SEN/SPE/AUC rows; each AUC comes from `curves`, the `roc_curves` of these scores."""
     rows = []
     for name, scores in model_scores.items():
-        y, s = labels, np.asarray(scores, dtype=np.float64)
-        if eval_level == "subject_mean":
-            if subjects is None:
-                raise ValueError("subject_mean evaluation needs subject ids")
-            subs = np.asarray(subjects)
-            members = [subs == sub for sub in sorted(set(subjects))]
-            s = np.array([np.mean(s[m]) for m in members])
-            y = np.array([labels[m][-1] for m in members], dtype=np.int64)
-        acc, sen, spe = metrics.acc_sen_spe(y, s > tau)
-        area = metrics.auc(curves[name] if eval_level == "slice" else metrics.roc_curve(y, s))
+        acc, sen, spe = metrics.acc_sen_spe(labels, np.asarray(scores, dtype=np.float64) > tau)
         rows.append({"model": name, "acc": _json_value(acc), "sen": _json_value(sen),
-                     "spe": _json_value(spe), "auc": _json_value(area)})
+                     "spe": _json_value(spe), "auc": _json_value(metrics.auc(curves[name]))})
     return rows
 
 
@@ -368,17 +364,20 @@ def run_pipeline(
         meta = stacking.train_meta(oof.matrix, oof.labels, config.meta_ridge)
         _write_json(out / "meta.json", meta.to_dict())
 
-    with error_context("stage evaluate"):
+    with error_context("stage evaluate"):  # rows and ROC files score the same level
         rule = config.fusion_combine_rule
         model_scores = _model_scores(test_preds, arch_ids, fit.alpha, meta, rule)
-        curves = roc_curves(test_labels, model_scores)
-        subjects = [s.subject_id for s in test]
-        rows = score_rows(
-            model_scores, test_labels, config.threshold, curves, subjects, config.eval_level
-        )
+        scores, labels = model_scores, test_labels
+        if config.eval_level == "subject_mean":
+            scores, labels = _subject_means(scores, labels, [s.subject_id for s in test])
+        curves = roc_curves(labels, scores)
+        rows = score_rows(scores, labels, config.threshold, curves)
         if roc_from_folds:
-            oof_scores = _model_scores(oof.matrix, arch_ids, fit.alpha, meta, rule)
-            curves = roc_curves(oof.labels, oof_scores)
+            scores, labels = _model_scores(oof.matrix, arch_ids, fit.alpha, meta, rule), oof.labels
+            if config.eval_level == "subject_mean":
+                ids = [samples[i].subject_id for i in oof.train_ids]
+                scores, labels = _subject_means(scores, labels, ids)
+            curves = roc_curves(labels, scores)
         roc_files = write_rocs(out, curves)
 
     with error_context("stage explain"):

@@ -3,8 +3,9 @@
 These deliberately avoid the library's own code paths: AUC by brute-force
 pair counting, gradients by central finite differences, simplex optima by
 grid search and by their optimality conditions, PNG files by a minimal
-encoder of their own, checkpoint parameter blocks by their header's sizes.  Expected values asserted elsewhere were computed
-with these.
+encoder of their own (all five filter types, 8 and 16 bits), checkpoint
+parameter blocks by their header's sizes.  Expected values asserted
+elsewhere were computed with these.
 `weight_iterates` and `recording_learner` are the exceptions: they watch the
 library's own weight fit and out-of-fold jobs.
 """
@@ -209,10 +210,15 @@ def resized_checkpoint(raw: bytes, layer: int, field: str, value) -> bytes:
     return json.dumps(header).encode() + b"\n" + bytes(8 * count)
 
 
-def make_png(array: np.ndarray, filter_type: int = 0) -> bytes:
-    """Minimal 8-bit grayscale PNG encoder used as an independent oracle."""
+def make_png(array: np.ndarray, filter_type: int = 0, depth: int = 8) -> bytes:
+    """Minimal grayscale PNG encoder used as an independent oracle: `array`
+    holds the integer samples, `depth` is 8 or 16 bits, and every row is
+    written with `filter_type`, 0-4 (None, Sub, Up, Average, Paeth).  Another
+    type byte is written over unfiltered bytes, as a damaged file holds it."""
     h, w = array.shape
-    data = array.astype(np.uint8)
+    bpp = depth // 8
+    data = np.asarray(array).astype(">u2" if depth == 16 else np.uint8).view(np.uint8)
+    data = data.reshape(h, w * bpp).astype(np.int64)
 
     def chunk(ctype: bytes, body: bytes) -> bytes:
         return (
@@ -222,18 +228,19 @@ def make_png(array: np.ndarray, filter_type: int = 0) -> bytes:
             + struct.pack(">I", zlib.crc32(ctype + body) & 0xFFFFFFFF)
         )
 
-    ihdr = struct.pack(">IIBBBBB", w, h, 8, 0, 0, 0, 0)
+    ihdr = struct.pack(">IIBBBBB", w, h, depth, 0, 0, 0, 0)
     rows = bytearray()
-    prev = np.zeros(w, dtype=np.int32)
-    for r in range(h):
-        line = data[r].astype(np.int32)
-        if filter_type == 0:
-            rows += bytes([0]) + bytes(line.astype(np.uint8))
-        elif filter_type == 2:  # Up
-            rows += bytes([2]) + bytes(((line - prev) % 256).astype(np.uint8))
-        else:
-            raise ValueError(filter_type)
-        prev = line
+    up = np.zeros(w * bpp, dtype=np.int64)
+    for line in data:
+        # The byte bpp places to the left, in this row and in the row above.
+        left, up_left = np.zeros_like(line), np.zeros_like(up)
+        left[bpp:], up_left[bpp:] = line[:-bpp], up[:-bpp]
+        p = left + up - up_left
+        pa, pb, pc = abs(p - left), abs(p - up), abs(p - up_left)
+        paeth = np.where((pa <= pb) & (pa <= pc), left, np.where(pb <= pc, up, up_left))
+        predictor = {1: left, 2: up, 3: (left + up) // 2, 4: paeth}.get(filter_type, 0)
+        rows += bytes([filter_type]) + bytes(((line - predictor) % 256).astype(np.uint8))
+        up = line
     idat = zlib.compress(bytes(rows))
     return (
         b"\x89PNG\r\n\x1a\n"

@@ -38,6 +38,7 @@ def test_defaults_follow_reference_recipe():
         {"eval_level": "image"},
         {"meta_ridge": -0.5},
         {"meta_ridge": -1e-300},
+        {"unfreeze_top": -1},
     ],
 )
 def test_out_of_range_fields_rejected(overrides):

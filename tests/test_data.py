@@ -201,6 +201,7 @@ def test_load_image_dir_ignores_root_files(tmp_path):
     (tmp_path / "pos").mkdir()
     write_pgm(tmp_path / "pos" / "s1_00.pgm", np.zeros((4, 4)))
     (tmp_path / "blobs.json").write_text("{}")
+    (tmp_path / "pos" / "._s1_01.pgm").write_bytes(b"not an image")  # a dotfile is skipped too
     assert len(load_image_dir(tmp_path, 4)) == 1
 
 

@@ -67,14 +67,24 @@ def test_unreadable_file_named_in_error(tmp_path):
         read_image(tmp_path / "missing.pgm")
 
 
-@pytest.mark.parametrize("filter_type", [0, 2])
-def test_png_round_trip(tmp_path, filter_type):
+@pytest.mark.parametrize("filter_type, depth", [
+    pytest.param(f, d, id=str(f) if d == 8 else f"{f}-16bit") for d in (8, 16) for f in range(5)
+])
+def test_png_round_trip(tmp_path, filter_type, depth):
+    top = 2**depth - 1
     rng = np.random.default_rng(1)
-    raw = rng.integers(0, 256, size=(9, 13), dtype=np.uint8)
+    raw = rng.integers(0, top + 1, size=(9, 13))
+    raw[0, :3] = (0, top, top)  # a flat run and both extremes
     path = tmp_path / "x.png"
-    path.write_bytes(make_png(raw, filter_type))
-    img = read_image(path)
-    assert np.array_equal(np.rint(img * 255).astype(np.uint8), raw)
+    path.write_bytes(make_png(raw, filter_type, depth))
+    assert np.array_equal(read_image(path), raw / top)
+
+
+def test_png_unknown_filter_type_rejected(tmp_path):
+    path = tmp_path / "x.png"
+    path.write_bytes(make_png(np.zeros((2, 3)), filter_type=5))
+    with pytest.raises(DataError, match="unknown PNG filter type 5"):
+        read_image(path)
 
 
 def test_png_rgb_rejected(tmp_path):

@@ -32,7 +32,9 @@ from hybridens.pipeline import fuse_only, render_table, run_pipeline, score_rows
 from hybridens.stacking import MetaLearner, oof_predictions, train_meta
 from hybridens.synth import SynthSpec, synth_data
 from hybridens.weighting import optimize_weights
-from oracle_utils import PicklingPool, RecordingPool, resized_checkpoint, simplex_kkt_gap
+from oracle_utils import (
+    PicklingPool, RecordingPool, mw_auc, resized_checkpoint, simplex_kkt_gap,
+)
 
 TINY = dict(
     input_side=16, batch_size=16, dropout_rate=0.25, folds=2, freeze_epochs=2,
@@ -175,6 +177,16 @@ def test_report_txt_mirrors_rows(tiny_run):
     assert text.splitlines()[0].split() == ["Model", "ACC", "(%)", "SEN", "(%)", "SPE", "(%)", "AUC"]
 
 
+def run_scores(out: Path, csv_name: str, rule: str) -> tuple[dict, np.ndarray]:
+    """Each model's scores and the labels of a run's `csv_name`, the fused
+    models' scores from the run's weights.json and meta.json."""
+    matrix, labels = load_predictions_csv(out / csv_name)
+    alpha = np.array(json.loads((out / "weights.json").read_text())["alpha"])
+    meta = MetaLearner(**{k: np.array(v) if k == "w" else v
+                          for k, v in json.loads((out / "meta.json").read_text()).items()})
+    return pipeline._model_scores(matrix, ["convA", "convB", "convC"], alpha, meta, rule), labels
+
+
 def test_roc_from_folds_pools_oof_predictions(tiny_run, tmp_path):
     data, _, report = tiny_run
     from hybridens.metrics import roc_curve, roc_points_csv
@@ -182,16 +194,63 @@ def test_roc_from_folds_pools_oof_predictions(tiny_run, tmp_path):
     config = RunConfig(**report.config)
     out = tmp_path / "pooled"
     pooled = run_pipeline(config, data, out, roc_from_folds=True)
-    matrix, labels = load_predictions_csv(out / "oof.csv")
-    alpha = np.array(json.loads((out / "weights.json").read_text())["alpha"])
-    meta = MetaLearner(**{k: np.array(v) if k == "w" else v
-                          for k, v in json.loads((out / "meta.json").read_text()).items()})
-    oof_scores = pipeline._model_scores(matrix, ["convA", "convB", "convC"], alpha, meta,
-                                        config.fusion_combine_rule)
+    oof_scores, labels = run_scores(out, "oof.csv", config.fusion_combine_rule)
     assert list(pooled.files["roc"]) == list(oof_scores)
     for name, scores in oof_scores.items():
         expected = roc_points_csv(roc_curve(labels, scores))
         assert (out / pooled.files["roc"][name]).read_text() == expected, name
+
+
+def subject_oracle(out: Path, csv_name: str, rule: str) -> tuple[dict, np.ndarray]:
+    """`run_scores` per subject, with the subjects' labels: a subject is an id
+    less its `_NN` slice suffix, and its score the mean of its slices' scores."""
+    scores, labels = run_scores(out, csv_name, rule)
+    with open(out / csv_name, newline="") as f:
+        subjects = np.array([row["id"].rpartition("_")[0] for row in csv.DictReader(f)])
+    names = sorted(set(subjects))
+    means = {model: np.array([np.mean(s[subjects == name]) for name in names])
+             for model, s in scores.items()}
+    return means, np.array([labels[subjects == name][0] for name in names])
+
+
+def roc_file_area(path: Path) -> float:
+    """The trapezoid area under the points of a `roc_<model>.csv`."""
+    fpr, tpr = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2).T
+    return float(np.sum(np.diff(fpr) * (tpr[1:] + tpr[:-1]) / 2))
+
+
+def test_a_subject_level_run_scores_subject_means_in_its_rows_and_roc_files(tmp_path):
+    """With eval_level "subject_mean", each row and each ROC file scores the
+    test subjects' mean scores (and, with roc_from_folds, the training
+    subjects' mean OOF scores), while the explanations stay those of the
+    slice-level run."""
+    data = synth_data(SynthSpec(subjects_per_class=6, slices_per_subject=3, image_side=16, seed=3),
+                      tmp_path / "data")
+    slice_out, out, folds_out = tmp_path / "slice", tmp_path / "subject", tmp_path / "folds"
+    run_pipeline(RunConfig(seed=3, **TINY), data, slice_out)
+    config = RunConfig(seed=3, eval_level="subject_mean", **TINY)
+    report = run_pipeline(config, data, out)
+    folds = run_pipeline(config, data, folds_out, roc_from_folds=True)
+
+    means, labels = subject_oracle(out, "preds_test.csv", config.fusion_combine_rule)
+    assert 0 < labels.sum() < len(labels)
+    assert [row["model"] for row in report.rows] == list(means)
+    for row in report.rows:
+        predicted, positive = means[row["model"]] > config.threshold, labels == 1
+        assert row["acc"] == np.sum(predicted == positive) / len(labels), row
+        assert row["sen"] == np.sum(predicted & positive) / np.sum(positive), row
+        assert row["spe"] == np.sum(~predicted & ~positive) / np.sum(~positive), row
+        assert abs(row["auc"] - mw_auc(labels, means[row["model"]])) <= 1e-12, row
+        assert abs(roc_file_area(out / report.files["roc"][row["model"]]) - row["auc"]) <= 1e-12
+
+    def explanations(run):
+        return {p.name: p.read_bytes() for p in (run / "explanations").iterdir()}
+
+    assert explanations(out) == explanations(slice_out) == explanations(folds_out)
+    assert folds.rows == report.rows
+    means, labels = subject_oracle(folds_out, "oof.csv", config.fusion_combine_rule)
+    for model, path in folds.files["roc"].items():
+        assert abs(roc_file_area(folds_out / path) - mw_auc(labels, means[model])) <= 1e-12, model
 
 
 def test_evaluate_and_fuse_read_a_runs_oof_csv(tiny_run, tmp_path):
@@ -506,6 +565,11 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
     assert cli.main(["run", "--data", str(dup), "--out", str(tmp_path / "o")]) == 3
     assert capsys.readouterr().err == (f"data error: stage ingest: {dup}/pos/s1000_0.pgm and "
                                        f"{dup}/pos/s1000_00.pgm are both slice pos/s1000_00\n")
+    # A file name with no `_` names no slice.
+    (dup / "pos" / "s1000_0.pgm").rename(dup / "pos" / "scan.pgm")
+    assert cli.main(["run", "--data", str(dup), "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == ("data error: stage ingest: filename must look like "
+                                       f"<subject>_<slice>: {dup}/pos/scan.pgm\n")
     bad_csv = tmp_path / "bad.csv"
     bad_csv.write_text("id,p1,p2,label\na,2.0,0.1,1\n")
     assert cli.main(["evaluate", "--preds", str(bad_csv)]) == 3
@@ -574,8 +638,11 @@ def test_cli_rejects_a_config_with_a_removed_meta_learner_field(tmp_path, capsys
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("text", [b'{"seed": 1\xff}', b"[" * 100_000], ids=["not-utf8", "deep"])
+@pytest.mark.parametrize("text", [b'{"seed": 1\xff}', b"[" * 100_000, b"[]"],
+                         ids=["not-utf8", "deep", "array"])
 def test_cli_exits_2_on_a_config_file_that_json_cannot_read(tmp_path, capsys, text):
+    """A config file must hold one JSON object: bytes that are not JSON, and
+    JSON that is not an object, exit 2 with one stderr line."""
     config = tmp_path / "config.json"
     config.write_bytes(text)
     make_fuse_csv(tmp_path / "p.csv")
@@ -583,7 +650,10 @@ def test_cli_exits_2_on_a_config_file_that_json_cannot_read(tmp_path, capsys, te
     assert cli.main(["fuse", "--config", str(config), "--preds", str(tmp_path / "p.csv"),
                      "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"config error: config file is not valid JSON: {config}: "), err
+    if text == b"[]":
+        assert err == f"config error: config JSON must be an object: {config}\n", err
+    else:
+        assert err.startswith(f"config error: config file is not valid JSON: {config}: "), err
     assert not (tmp_path / "o").exists()
 
 
