@@ -1,19 +1,22 @@
 """Command-line pipeline: synth-data, train-base, fuse, evaluate, explain, run.
 
-Exit codes: 0 success, 2 config error, 3 data error, 4 numeric failure, 5 I/O or stage failure.
+Exit codes: 0 success, 2 config error, 3 data error, 4 numeric failure, 5 I/O or stage failure,
+and 128 + the signal number for a run stopped by SIGTERM (143) or Ctrl-C (130), which is what
+a shell reports for a process that the signal ends.
 All state flows through flags and the config JSON; no environment variables.
 """
 
 from __future__ import annotations
 
 import argparse
+import signal
 import sys
 from pathlib import Path
 
 from . import microcnn, pipeline
 from .config import RunConfig
 from .data import load_predictions_csv
-from .errors import ConfigError, DataError, NumericError, error_context
+from .errors import ConfigError, DataError, NumericError, Stopped, error_context
 from .imageio import bilinear_resize, read_image
 from .synth import SynthSpec, synth_data
 
@@ -178,6 +181,10 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, RuntimeError) as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 5
+    except (KeyboardInterrupt, Stopped) as exc:
+        signum = signal.SIGTERM if isinstance(exc, Stopped) else signal.SIGINT
+        print(f"stopped by {signum.name}", file=sys.stderr)
+        return 128 + signum
 
 
 if __name__ == "__main__":

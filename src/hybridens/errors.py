@@ -1,7 +1,7 @@
 """Error taxonomy shared by the library and the CLI.
 
-The CLI maps these onto process exit codes (config 2, data 3, numeric 4),
-and an OSError or the RuntimeError of a failed stage onto exit code 5.
+The CLI maps these onto process exit codes (config 2, data 3, numeric 4,
+stopped 143), and an OSError or the RuntimeError of a failed stage onto 5.
 """
 
 from contextlib import contextmanager
@@ -17,6 +17,11 @@ class DataError(ValueError):
 
 class NumericError(RuntimeError):
     """An optimization or training step produced a non-finite quantity."""
+
+
+class Stopped(BaseException):
+    """SIGTERM arrived while a process pool ran.  Like KeyboardInterrupt it is
+    no Exception, so no error context rewords it."""
 
 
 @contextmanager

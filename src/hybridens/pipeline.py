@@ -8,11 +8,14 @@ are derived from the run seed per stage and architecture.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import json
 import math
 import os
+import signal
+import threading
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable
@@ -30,7 +33,7 @@ from .data import (
     save_predictions_csv,
     split_dataset,
 )
-from .errors import ConfigError, DataError, error_context
+from .errors import ConfigError, DataError, Stopped, error_context
 from .imageio import write_file, write_pgm, write_ppm
 from .seeding import rng_for
 
@@ -97,20 +100,45 @@ def pool_map(fn: Callable, jobs: list) -> list:
     Each pool worker starts with `(fn, jobs)`: a forked worker inherits
     them, and under spawn or forkserver the pool's initializer pickles them
     once per worker.  A submission then carries only its job number.  The
-    initializer also fixes glibc's mmap and trim thresholds in each worker."""
+    initializer also fixes glibc's mmap and trim thresholds in each worker.
+
+    In the main thread, while the pool is open, a SIGTERM with its default
+    action raises `Stopped`, and that or Ctrl-C ends the workers before it
+    leaves.  Both signals are held while the workers start: an exception
+    raised in the hooks that run after a fork is lost."""
     workers = _worker_count(len(jobs))
     if workers <= 1:
         return list(map(fn, jobs))
     from concurrent.futures import ProcessPoolExecutor
 
     order = sorted(range(len(jobs)), key=lambda i: jobs[i][0])
-    with ProcessPoolExecutor(workers, initializer=_keep_jobs, initargs=(fn, jobs)) as pool:
-        futures = {i: pool.submit(_run_job, i) for i in order}
-        try:
-            return [futures.pop(i).result() for i in range(len(jobs))]
-        finally:  # on a failure, cancel the jobs no worker has started
-            for future in futures.values():
-                future.cancel()
+    stop = (hasattr(signal, "pthread_sigmask")
+            and signal.getsignal(signal.SIGTERM) is signal.SIG_DFL
+            and threading.current_thread() is threading.main_thread())
+    mask = stop and signal.pthread_sigmask(signal.SIG_BLOCK, [signal.SIGINT, signal.SIGTERM])
+    try:
+        with ProcessPoolExecutor(workers, initializer=_keep_jobs, initargs=(fn, jobs)) as pool:
+            futures = {i: pool.submit(_run_job, i) for i in order}
+            try:
+                if stop:  # the workers have started: a signal held or to come raises here
+                    signal.signal(signal.SIGTERM, _stop)
+                    signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+                return [futures.pop(i).result() for i in range(len(jobs))]
+            except (KeyboardInterrupt, Stopped):  # end the nets in training, not just the queue
+                for process in list(pool._processes.values()):
+                    process.terminate()
+                raise
+            finally:  # on a failure, cancel the jobs no worker has started
+                for future in futures.values():
+                    future.cancel()
+    finally:
+        if stop:
+            signal.signal(signal.SIGTERM, signal.SIG_DFL)
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+
+
+def _stop(signum: int, frame) -> None:
+    raise Stopped(signal.Signals(signum).name)
 
 
 _worker_jobs: tuple = ()  # (fn, jobs), set in each pool worker by `_keep_jobs`
@@ -121,9 +149,13 @@ def _keep_jobs(fn: Callable, jobs: list) -> None:
     name by number, and fix glibc's mmap threshold at 4 MiB and its trim
     threshold at 8 MiB, so training's large temporaries (1.2 MB conv outputs)
     reuse heap pages, not fresh mappings.  Only pool workers run this: the
-    caller's allocator stays."""
+    caller's allocator stays.  A worker leaves Ctrl-C to its parent, and
+    SIGTERM, which `pool_map` held while it started, ends it."""
     global _worker_jobs
     _worker_jobs = fn, jobs
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    if hasattr(signal, "pthread_sigmask"):
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, [signal.SIGTERM])
     if hasattr(_libc, "mallopt"):
         _libc.mallopt(-3, 4 << 20)  # M_MMAP_THRESHOLD
         _libc.mallopt(-1, 8 << 20)  # M_TRIM_THRESHOLD
@@ -206,19 +238,27 @@ def write_rocs(out_dir: Path, curves: dict[str, metrics.RocCurve]) -> dict[str, 
     return files
 
 
-def _train_net(job: tuple) -> tuple[microcnn.MicroNet, list[dict], list[np.ndarray]]:
+def _train_net(job: tuple):
     """Build one net, two-phase-train it on `fit` (scoring `val` each epoch
     when given) and predict each query set with it.  A base net (fold None)
-    draws from the ("init"|"train", arch) streams, an out-of-fold net from
-    ("oof-init"|"oof-train", arch, fold).  `job[0]` is read by `pool_map` only."""
+    draws from the ("init"|"train", arch) streams and returns (net, history,
+    predictions).  An out-of-fold net draws from ("oof-init"|"oof-train",
+    arch, fold), names its learner and fold in its errors and returns only
+    its one query set's predictions.  `job[0]` is read by `pool_map` only."""
     _, config, arch, fold, fit, val, queries = job
-    stage, tags = ("", (arch,)) if fold is None else ("oof-", (arch, fold))
-    init_rng = rng_for(config.seed, stage + "init", *tags)
-    net = microcnn.build_micronet(arch, config.input_side, config.dropout_rate, init_rng)
-    net, history = microcnn.train_two_phase(
-        net, fit, val, config, rng_for(config.seed, stage + "train", *tags)
-    )
-    return net, history, [microcnn.predict_proba(net, q, config.batch_size) for q in queries]
+    stage, tags, context = "", (arch,), contextlib.nullcontext()
+    if fold is not None:
+        k = microcnn.architecture_ids(config.K).index(arch)
+        stage, tags = "oof-", (arch, fold)
+        context = error_context(f"base learner {k} failed on fold {fold}")
+    with context:
+        init_rng = rng_for(config.seed, stage + "init", *tags)
+        net = microcnn.build_micronet(arch, config.input_side, config.dropout_rate, init_rng)
+        net, history = microcnn.train_two_phase(
+            net, fit, val, config, rng_for(config.seed, stage + "train", *tags)
+        )
+        preds = [microcnn.predict_proba(net, q, config.batch_size) for q in queries]
+    return (net, history, preds) if fold is None else preds[0]
 
 
 def train_bases(
@@ -259,12 +299,16 @@ def train_bases(
     return nets, val_preds, test_preds, histories
 
 
-def _oof_net(
-    config: RunConfig, arch: str, fold: int, fit: list[LabeledSample], holdout: list[LabeledSample]
-) -> np.ndarray:
-    """The out-of-fold learner of one architecture, as `_train_net` of one fold.
-    Nothing reads an OOF net's loss history, so it trains without a validation set."""
-    return _train_net((None, config, arch, fold, fit, [], [holdout]))[2][0]
+def _fit_predict_oof(config: RunConfig, splits: list[tuple]) -> list[np.ndarray]:
+    """Each (fold, fit, holdout) split's (len(holdout), K) probabilities from
+    its K out-of-fold nets, which train without a validation set (nothing
+    reads their loss history).  The jobs are in (fold, k) order, keyed (fold,
+    -training cost), so a pool submits fold by fold, costliest net first."""
+    arch_ids = microcnn.architecture_ids(config.K)
+    jobs = [((fold, -microcnn.training_cost(arch, config)), config, arch, fold, fit, [], [holdout])
+            for fold, fit, holdout in splits for arch in arch_ids]
+    preds = pool_map(_train_net, jobs)
+    return [np.column_stack(preds[j:j + config.K]) for j in range(0, len(preds), config.K)]
 
 
 def _model_scores(
@@ -352,10 +396,8 @@ def run_pipeline(
 
     with error_context("stage oof"):
         folds = assign_folds(samples, split.train_ids, config.folds, config.seed)
-        learners = [functools.partial(_oof_net, config, arch) for arch in arch_ids]
-        costs = [microcnn.training_cost(arch, config) for arch in arch_ids]
         oof = stacking.oof_predictions(
-            samples, split.train_ids, folds, learners, pool_map, costs
+            samples, split.train_ids, folds, functools.partial(_fit_predict_oof, config)
         )
         oof_ids = [samples[i].sample_id for i in oof.train_ids]
         save_predictions_csv(out / "oof.csv", oof.matrix, oof.labels, oof_ids, oof.fold_of)

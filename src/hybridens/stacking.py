@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .data import FoldAssignment, LabeledSample
-from .errors import NumericError, error_context
+from .errors import NumericError
 from .weighting import GRAD_TOL, MAX_NEWTON_STEPS, halving_rate, sigmoid
 
 
@@ -42,52 +42,35 @@ class MetaLearner:
         return {"w": [float(x) for x in self.w], "b": float(self.b)}
 
 
-def _fit_predict(job: tuple) -> np.ndarray:
-    """Fit learner k on one fold's fit samples and predict its holdout samples.
-    Failures carry the learner and fold ids, as `error_context` words them."""
-    _, learner, k, fold, fit_samples, holdout_samples = job
-    with error_context(f"base learner {k} failed on fold {fold}"):
-        return np.asarray(learner(fold, fit_samples, holdout_samples), dtype=np.float64)
-
-
 def oof_predictions(
     samples: list[LabeledSample],
     train_ids: list[int],
     folds: FoldAssignment,
-    learners: Sequence[Callable],
-    map: Callable = map,
-    costs: Sequence[float] | None = None,
+    fit_predict: Callable[[list[tuple]], Sequence[np.ndarray]],
 ) -> OofTable:
-    """Train len(learners) base learners per fold and fill the OOF matrix.
+    """Split the training samples by fold and fill the OOF matrix.
 
-    Each learner is a function `(fold, fit_samples, holdout_samples) ->
-    probabilities` that fits a fresh model and predicts the holdout samples
-    with it; its result must be fully determined by its arguments (seeding
-    is the caller's business).  The (fold, k) jobs share no state, so `map`
-    may run them in any order or process; a process pool's `map` needs
-    picklable learners.  The first failing job in (fold, k) order raises, as
-    `_fit_predict` does.
-    Each job starts with its submission key, (fold, -its learner's cost), so
-    `pipeline.pool_map` submits fold by fold, each fold's learners in
-    descending `costs` (all equal when None), ties in learner order.
+    `fit_predict` takes the (fold, fit_samples, holdout_samples) split of each
+    fold, in fold order: the training samples in the fold are held out, and
+    all the others fit on.  It returns each split's (len(holdout_samples), K)
+    probabilities, column k from base learner k fitted afresh on the fit
+    samples, fully determined by the splits (seeding is the caller's
+    business).  A fold whose result has another shape, with fold 0's K, or
+    holds a NaN raises a RuntimeError that names the fold.
     """
-    if not learners:
-        raise ValueError("need at least one base learner")
-    costs = [0] * len(learners) if costs is None else costs
-    n = len(train_ids)
-    matrix = np.full((n, len(learners)), np.nan)
-    row_of = {sample_id: row for row, sample_id in enumerate(train_ids)}
-    holdouts, jobs = [], []
-    for fold in range(folds.k):
-        holdout = [i for i in train_ids if folds.fold_of[i] == fold]
-        holdouts.append(holdout)
-        fit_samples = [samples[i] for i in train_ids if folds.fold_of[i] != fold]
-        holdout_samples = [samples[i] for i in holdout]
-        jobs += [((fold, -cost), f, k, fold, fit_samples, holdout_samples)
-                 for k, (f, cost) in enumerate(zip(learners, costs))]
-    for (_, _, k, fold, _, _), preds in zip(jobs, map(_fit_predict, jobs)):
-        for i, p in zip(holdouts[fold], preds):
-            matrix[row_of[i], k] = p
+    held = [[r for r, i in enumerate(train_ids) if folds.fold_of[i] == fold]
+            for fold in range(folds.k)]
+    splits = [(fold, [samples[i] for i in train_ids if folds.fold_of[i] != fold],
+               [samples[train_ids[r]] for r in rows]) for fold, rows in enumerate(held)]
+    results = list(fit_predict(splits))
+    k = np.shape(results[0])[-1] if results and np.ndim(results[0]) == 2 else 0
+    matrix = np.full((len(train_ids), k), np.nan)
+    for fold, (rows, preds) in enumerate(zip(held, results)):
+        preds = np.asarray(preds, dtype=np.float64)
+        if k < 1 or preds.shape != (len(rows), k) or np.isnan(preds).any():
+            raise RuntimeError(f"fold {fold}: want ({len(rows)}, K) out-of-fold probabilities "
+                               f"without NaN, K = {k} as in fold 0; got shape {preds.shape}")
+        matrix[rows] = preds
     if np.isnan(matrix).any():
         raise RuntimeError("out-of-fold matrix has unfilled rows")
     labels = np.array([samples[i].label for i in train_ids], dtype=np.int64)

@@ -6,14 +6,16 @@ grid search and by their optimality conditions, PNG files by a minimal
 encoder of their own (all five filter types, 8 and 16 bits), checkpoint
 parameter blocks by their header's sizes.  Expected values asserted
 elsewhere were computed with these.
-`weight_iterates` and `recording_learner` are the exceptions: they watch the
-library's own weight fit and out-of-fold jobs.
+`weight_iterates`, `recording_learner` and `stand_in_nets` are the
+exceptions: they watch the library's own weight fit and out-of-fold jobs.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import pickle
+import signal
 import struct
 import zlib
 from concurrent.futures import Future
@@ -21,7 +23,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from hybridens import pipeline, weighting
+from hybridens import microcnn, pipeline, weighting
+from hybridens.config import RunConfig
 
 
 def mw_auc(labels: np.ndarray, scores: np.ndarray) -> float:
@@ -125,6 +128,38 @@ def recording_learner(learner, calls: list):
     return recording
 
 
+def fit_predict_of(*learners):
+    """The `fit_predict` of `stacking.oof_predictions` that runs each learner
+    `(fold, fit_samples, holdout_samples) -> probabilities` on each split, in
+    fold order and learner order, and makes learner k column k."""
+
+    def fit_predict(splits):
+        return [np.column_stack([learner(*split) for learner in learners]) for split in splits]
+
+    return fit_predict
+
+
+def stand_in_nets(monkeypatch, learners, samples, folds):
+    """`pipeline._fit_predict_oof` of a 16 px config with K = len(learners),
+    whose nets are stand-ins: the net of architecture k, trained on `fit`,
+    predicts `learners[k](fold, fit, holdout)` for the holdout of `fold`.
+    Everything else is the pipeline's: its jobs, their keys, `_train_net`
+    and `pool_map`.  The patches reach pool workers only when they fork."""
+    arch_ids = microcnn.architecture_ids(len(learners))
+    fold_of = {samples[i].sample_id: fold for i, fold in folds.fold_of.items()}
+
+    def train(net, fit, val, config, rng):
+        return SimpleNamespace(architecture_id=net.architecture_id, fit=fit), []
+
+    def predict(net, holdout, batch_size):
+        learner = learners[arch_ids.index(net.architecture_id)]
+        return learner(fold_of[holdout[0].sample_id], net.fit, holdout)
+
+    monkeypatch.setattr(microcnn, "train_two_phase", train)
+    monkeypatch.setattr(microcnn, "predict_proba", predict)
+    return functools.partial(pipeline._fit_predict_oof, RunConfig(K=len(learners), input_side=16))
+
+
 def assert_holdouts_are_folds(calls: list, samples, train_ids, folds) -> None:
     """Each recorded holdout is exactly its fold's training samples, and each
     fit set is the rest of the training samples: the two never overlap."""
@@ -141,20 +176,27 @@ class RecordingPool:
     once, as each worker runs it in its own process, but against a stand-in
     glibc handle that records the initializer's `mallopt` calls in
     `libc_calls`, and it keeps the worker state that the initializer sets
-    for itself: the allocator and `pipeline._worker_jobs` of this process,
-    and so of every later test, stay the caller's."""
+    for itself: the allocator, signal handlers, signal mask and
+    `pipeline._worker_jobs` of this process, and so of every later test,
+    stay the caller's."""
 
     submitted: list = []
     libc_calls: list = []
+    _processes: dict = {}  # no worker process for a stop to end
 
     def __init__(self, workers, initializer, initargs):
         libc, jobs = pipeline._libc, pipeline._worker_jobs
+        handlers = {sig: signal.getsignal(sig) for sig in (signal.SIGINT, signal.SIGTERM)}
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, [])
         pipeline._libc = SimpleNamespace(mallopt=lambda *args: self.libc_calls.append(args))
         try:
             initializer(*initargs)
             self.worker_jobs = pipeline._worker_jobs
         finally:
             pipeline._libc, pipeline._worker_jobs = libc, jobs
+            for sig, handler in handlers.items():
+                signal.signal(sig, handler)
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 
     def __enter__(self):
         return self

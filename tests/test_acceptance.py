@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from hybridens import gradcam, microcnn
+from hybridens import gradcam, microcnn, pipeline
 from hybridens.config import RunConfig
 from hybridens.data import (
     FoldAssignment,
@@ -42,6 +42,7 @@ from hybridens.weighting import bce_gradient, mean_bce
 from oracle_utils import (
     assert_holdouts_are_folds,
     fd_gradient,
+    fit_predict_of,
     grid_simplex2_bce,
     logistic_objective,
     logistic_objective_gradient,
@@ -274,7 +275,6 @@ def test_c6_oof_leakage_audit(small_run, monkeypatch):
     samples = load_image_dir(data, config.input_side)
     split = split_dataset(samples, (0.6, 0.2, 0.2), config.seed)
     from hybridens.data import assign_folds
-    from hybridens.pipeline import _oof_net
 
     # Each OOF net records the ids it trained on and the ids it predicted.
     nets = []
@@ -290,9 +290,11 @@ def test_c6_oof_leakage_audit(small_run, monkeypatch):
 
     monkeypatch.setattr(microcnn, "train_two_phase", recording_train)
     monkeypatch.setattr(microcnn, "predict_proba", recording_predict)
+    # The patches reach pool workers only when they are forked; run serially.
+    monkeypatch.setattr(pipeline, "_worker_count", lambda jobs: 1)
     folds = assign_folds(samples, split.train_ids, config.folds, config.seed)
-    learners = [functools.partial(_oof_net, config, a) for a in microcnn.architecture_ids(config.K)]
-    table = oof_predictions(samples, split.train_ids, folds, learners)
+    fit_predict = functools.partial(pipeline._fit_predict_oof, config)
+    table = oof_predictions(samples, split.train_ids, folds, fit_predict)
     assert not np.isnan(table.matrix).any()
     assert len(nets) == config.K * config.folds
     # The builtin map runs the jobs in (fold, k) order.
@@ -307,7 +309,7 @@ def test_c6_oof_leakage_audit(small_run, monkeypatch):
     loo_folds = FoldAssignment(fold_of={i: i for i in range(6)}, k=6)
     loo_calls = []
     loo_learner = recording_learner(_mean_learner, loo_calls)
-    oof_predictions(loo_samples, list(range(6)), loo_folds, [loo_learner])
+    oof_predictions(loo_samples, list(range(6)), loo_folds, fit_predict_of(loo_learner))
     assert [fold for fold, _, _ in loo_calls] == list(range(6))
     assert_holdouts_are_folds(loo_calls, loo_samples, range(6), loo_folds)
     assert all(len(fit) == 5 for _, fit, _ in loo_calls)

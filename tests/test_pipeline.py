@@ -7,6 +7,7 @@ import math
 import multiprocessing
 import os
 import pickle
+import signal
 import subprocess
 import sys
 import time
@@ -22,10 +23,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hybridens import cli, pipeline
+from hybridens import cli, microcnn, pipeline
 from hybridens.config import RunConfig
-from hybridens.data import assign_folds, load_image_dir, load_predictions_csv, save_predictions_csv
-from hybridens.errors import ConfigError, DataError, NumericError
+from hybridens.data import (
+    LabeledSample, assign_folds, load_image_dir, load_predictions_csv, save_predictions_csv,
+)
+from hybridens.errors import ConfigError, DataError, NumericError, Stopped
 from hybridens.imageio import bilinear_resize, read_image, write_pgm
 from hybridens.microcnn import architecture_ids, load_checkpoint
 from hybridens.pipeline import fuse_only, render_table, run_pipeline, score_rows
@@ -344,13 +347,28 @@ def test_a_pool_workers_initializer_fixes_glibcs_thresholds_and_keeps_the_jobs(m
     calls, jobs = [], [(0, "job")]
     monkeypatch.setattr(pipeline, "_libc", SimpleNamespace(mallopt=lambda *args: calls.append(args)))
     monkeypatch.setattr(pipeline, "_worker_jobs", ())
-    pipeline._keep_jobs(len, jobs)
+    handlers = {sig: signal.getsignal(sig) for sig in (signal.SIGINT, signal.SIGTERM)}
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, [signal.SIGTERM])  # as pool_map forks
+    try:
+        pipeline._keep_jobs(len, jobs)
+        # A worker leaves Ctrl-C to its parent, and SIGTERM ends it.
+        assert signal.getsignal(signal.SIGINT) is signal.SIG_IGN
+        assert signal.getsignal(signal.SIGTERM) is signal.SIG_DFL
+        assert signal.SIGTERM not in signal.pthread_sigmask(signal.SIG_BLOCK, [])
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        for sig, handler in handlers.items():
+            signal.signal(sig, handler)
     assert calls == [(-3, 4 << 20), (-1, 8 << 20)]  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
     assert pipeline._worker_jobs[0] is len and pipeline._worker_jobs[1] is jobs
     assert pipeline._run_job(0) == 2
     for libc in (SimpleNamespace(), None):  # a libc without mallopt, no libc handle
         monkeypatch.setattr(pipeline, "_libc", libc)
-        pipeline._keep_jobs(len, jobs)
+        try:
+            pipeline._keep_jobs(len, jobs)
+        finally:
+            for sig, handler in handlers.items():
+                signal.signal(sig, handler)
         assert pipeline._worker_jobs[0] is len and pipeline._worker_jobs[1] is jobs
 
 
@@ -378,6 +396,81 @@ def test_the_stand_in_pools_leave_the_test_processs_allocator_alone(monkeypatch,
     assert calls == []
     assert pool.libc_calls == [(-3, 4 << 20), (-1, 8 << 20)]
     assert pipeline._worker_jobs == ()
+
+
+def test_a_pool_holds_sigterm_while_it_starts_and_then_raises_stopped(monkeypatch):
+    """In the main thread, a pool whose SIGTERM has its default action holds
+    the signal while it starts its workers (the stand-in pool runs the jobs
+    then), raises `Stopped` for it once they run, and restores both the
+    handler and the signal mask.  A caller's own handler, or SIG_IGN, stays."""
+    monkeypatch.setattr(pipeline, "_worker_count", lambda jobs: 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    held = []
+
+    def stop_in_job(job):
+        held.append(signal.SIGTERM in signal.pthread_sigmask(signal.SIG_BLOCK, []))
+        if held[-1] or signal.getsignal(signal.SIGTERM) is not signal.SIG_DFL:
+            os.kill(os.getpid(), signal.SIGTERM)
+
+    previous = signal.getsignal(signal.SIGTERM)
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, [])
+    caught = []
+    try:
+        with pytest.raises(Stopped, match="SIGTERM"):
+            pipeline.pool_map(stop_in_job, [(0,), (1,)])
+        assert held == [True, True]
+        for handler in (lambda *args: caught.append(args[0]), signal.SIG_IGN):
+            signal.signal(signal.SIGTERM, handler)
+            held.clear()
+            assert pipeline.pool_map(stop_in_job, [(0,), (1,)]) == [None, None]
+            assert held == [False, False] and signal.getsignal(signal.SIGTERM) is handler
+        assert caught == [signal.SIGTERM] * 2
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+    assert signal.getsignal(signal.SIGTERM) is signal.SIG_DFL
+    assert signal.pthread_sigmask(signal.SIG_BLOCK, []) == mask
+
+
+def _running(pid) -> bool:
+    """Whether process `pid` exists and has not exited (a zombie has)."""
+    try:
+        return Path(f"/proc/{pid}/stat").read_text().rpartition(")")[2].split()[0] != "Z"
+    except (OSError, IndexError):
+        return False
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="reads /proc")
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="one CPU starts no pool")
+def test_sigterm_ends_a_run_and_its_workers_with_exit_143(tmp_path):
+    data = tmp_path / "d"
+    synth_data(SynthSpec(subjects_per_class=6, slices_per_subject=2, image_side=16, seed=21), data)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(dict(seed=21, **TINY)))
+    env = {**os.environ, "PYTHONPATH": str(Path(pipeline.__file__).parents[1])}
+    run = subprocess.Popen(
+        [sys.executable, "-m", "hybridens.cli", "run", "--config", str(config),
+         "--data", str(data), "--out", str(tmp_path / "o")],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, env=env,
+    )
+    children, workers = Path(f"/proc/{run.pid}/task/{run.pid}/children"), []
+    try:
+        deadline = time.monotonic() + 60
+        while len(workers) < 2 and run.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.005)
+            workers = children.read_text().split()
+        assert len(workers) >= 2, "no pool started"
+        run.send_signal(signal.SIGTERM)
+        _, err = run.communicate(timeout=10)
+        assert (run.returncode, err) == (143, "stopped by SIGTERM\n")
+        deadline = time.monotonic() + 10
+        while any(map(_running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not [pid for pid in workers if _running(pid)]
+    finally:
+        for pid in [run.pid, *workers]:
+            if _running(pid):
+                os.kill(int(pid), signal.SIGKILL)
+        run.wait(timeout=10)
 
 
 def make_fuse_csv(path, n=80, seed=0, perfect_first=False):
@@ -486,15 +579,31 @@ def test_cli_synth_data_refuses_an_out_that_holds_a_dataset(tmp_path, capsys):
     assert len(list(out.rglob("*.pgm"))) == 12
 
 
-def oof_learners(config):
-    """The OOF learners `run_pipeline` passes to `oof_predictions`."""
-    return [functools.partial(pipeline._oof_net, config, a) for a in architecture_ids(config.K)]
+def test_oof_learners_pickle(monkeypatch):
+    """Each out-of-fold job that `_fit_predict_oof` hands `pool_map` survives
+    pickle as a `_train_net` job of its net, keyed (fold, -training cost),
+    and each split's columns come back in architecture order."""
+    config = RunConfig(seed=3, **TINY)
+    samples = [LabeledSample(f"s{i}", 0, np.zeros((16, 16)), i % 2) for i in range(5)]
+    splits = [(0, samples[2:], samples[:2]), (1, samples[:2], samples[2:])]
+    arch_ids, received = architecture_ids(3), []
 
+    def pickling_map(fn, jobs):
+        fn, jobs = pickle.loads(pickle.dumps((fn, jobs)))
+        assert fn is pipeline._train_net
+        received.extend(jobs)
+        return [np.full(len(job[6][0]), 10.0 * job[3] + arch_ids.index(job[2])) for job in jobs]
 
-def test_oof_learners_pickle():
-    learner = pickle.loads(pickle.dumps(oof_learners(RunConfig(seed=3, **TINY))[1]))
-    assert learner.func is pipeline._oof_net
-    assert (learner.args[0].seed, learner.args[1]) == (3, "convB")
+    monkeypatch.setattr(pipeline, "pool_map", pickling_map)
+    preds = pipeline._fit_predict_oof(config, splits)
+    assert [(job[3], job[2]) for job in received] == [(f, a) for f in (0, 1) for a in arch_ids]
+    for job in received:
+        fold, fit, held = splits[job[3]]
+        assert job[0] == (fold, -microcnn.training_cost(job[2], config))
+        assert job[1] == config and job[5] == []
+        assert [s.sample_id for s in job[4]] == [s.sample_id for s in fit]
+        assert [[s.sample_id for s in q] for q in job[6]] == [[s.sample_id for s in held]]
+    assert [p.tolist() for p in preds] == [[[0, 1, 2]] * 2, [[10, 11, 12]] * 3]
 
 
 def test_cli_train_base_writes_what_run_writes(tiny_run, tmp_path):
@@ -680,10 +789,14 @@ def test_importing_the_package_loads_no_process_pool_machinery():
 
 
 def test_cli_run_exits_4_when_an_oof_learner_fails(tmp_path, monkeypatch, capsys):
-    def diverge(config, arch, fold, fit_samples, holdout_samples):
-        raise NumericError(f"loss diverged for {arch}")
+    train = microcnn.train_two_phase
 
-    monkeypatch.setattr(pipeline, "_oof_net", diverge)
+    def diverge(net, fit, val, *args):  # only out-of-fold nets train without a val set
+        if not val:
+            raise NumericError(f"loss diverged for {net.architecture_id}")
+        return train(net, fit, val, *args)
+
+    monkeypatch.setattr(microcnn, "train_two_phase", diverge)
     # The patch reaches pool workers only when they are forked; run serially.
     monkeypatch.setattr(pipeline, "_worker_count", lambda jobs: 1)
     data = tmp_path / "d"
@@ -712,7 +825,7 @@ def test_every_job_run_pipeline_submits_pickles(tiny_run, tmp_path, monkeypatch)
     monkeypatch.setattr(pipeline, "pool_map", pickling_map)
     out = tmp_path / "out"
     run_pipeline(RunConfig(seed=21, **TINY), data, out)
-    assert submitted == ["_train_net"] * 3 + ["_fit_predict"] * 6
+    assert submitted == ["_train_net"] * 9
     assert_same_files(out, run_out)
 
 
@@ -767,9 +880,9 @@ def test_a_pool_submits_each_stage_longest_first(tiny_run, tmp_path, monkeypatch
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(RecordingPool, "submitted", [])
     run_pipeline(RunConfig(seed=21, **TINY), data, tmp_path / "out")
-    # Base jobs are (key, config, arch, ...); OOF jobs (key, learner, k, fold, ...).
+    # Every job is (key, config, arch, fold, ...), fold None for a base net.
     bases = [job[2] for job in RecordingPool.submitted[:3]]
-    oof = [(job[3], job[1].args[1]) for job in RecordingPool.submitted[3:]]
+    oof = [(job[3], job[2]) for job in RecordingPool.submitted[3:]]
     assert bases == ["convC", "convB", "convA"]
     assert oof == [(fold, arch) for fold in range(2) for arch in bases]
     assert_same_files(tmp_path / "out", run_out)
@@ -783,31 +896,40 @@ def test_outputs_do_not_depend_on_the_worker_count(tiny_run, tmp_path, monkeypat
     assert_same_files(tmp_path / "workers2", tmp_path / "workers1")
 
 
-def test_oof_through_a_spawn_pool_matches_the_builtin_map(tmp_path):
+def test_oof_through_a_spawn_pool_matches_the_builtin_map(tmp_path, monkeypatch):
     data = tmp_path / "d"
     synth_data(SynthSpec(subjects_per_class=3, slices_per_subject=2, image_side=16, seed=5), data)
     samples = load_image_dir(data, 16)
     ids = list(range(len(samples)))
     folds = assign_folds(samples, ids, 2, seed=5)
-    learners = oof_learners(RunConfig(seed=5, **TINY))
-    serial = oof_predictions(samples, ids, folds, learners)
-    with ProcessPoolExecutor(2, mp_context=multiprocessing.get_context("spawn")) as pool:
-        pooled = oof_predictions(samples, ids, folds, learners, pool.map)
+    fit_predict = functools.partial(pipeline._fit_predict_oof, RunConfig(seed=5, **TINY))
+    monkeypatch.setattr(pipeline, "_worker_count", lambda jobs: 1)
+    serial = oof_predictions(samples, ids, folds, fit_predict)
+    monkeypatch.setattr(pipeline, "_worker_count", lambda jobs: 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", functools.partial(
+        ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn")))
+    pooled = oof_predictions(samples, ids, folds, fit_predict)
     assert pooled.matrix.tobytes() == serial.matrix.tobytes()
     assert pooled.labels.tolist() == serial.labels.tolist()
     assert pooled.fold_of.tolist() == serial.fold_of.tolist()
     assert pooled.train_ids == serial.train_ids
 
 
-def die_mid_fit(config, arch, fold, fit_samples, holdout_samples):
-    """An OOF learner that ends its process in the middle of a fit."""
-    os._exit(1)
+_train_net = pipeline._train_net
+
+
+def die_mid_fit(job):
+    """`pipeline._train_net`, except that an out-of-fold job ends its process."""
+    if job[3] is not None:
+        os._exit(1)
+    return _train_net(job)
 
 
 def test_a_worker_dying_mid_fit_ends_the_run_in_a_stage_oof_error(tmp_path, monkeypatch):
-    # Both patches act in this process, so they hold under any start method.
+    # Both patches act in this process, so they hold under any start method:
+    # the pool's workers get `die_mid_fit` by name, from this module.
     monkeypatch.setattr(pipeline, "_worker_count", lambda jobs: 2)
-    monkeypatch.setattr(pipeline, "_oof_net", die_mid_fit)
+    monkeypatch.setattr(pipeline, "_train_net", die_mid_fit)
     data = tmp_path / "d"
     synth_data(SynthSpec(subjects_per_class=6, slices_per_subject=2, image_side=16, seed=1), data)
     # A hang would stall the suite, so the whole process ends after 120 s.

@@ -1,11 +1,16 @@
 import concurrent.futures
 import functools
+import math
+import multiprocessing
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hybridens import pipeline, stacking
+from hybridens import microcnn, pipeline, stacking
 from hybridens.data import FoldAssignment, LabeledSample
 from hybridens.errors import ConfigError, DataError, NumericError
 from hybridens.stacking import (
@@ -21,10 +26,12 @@ from oracle_utils import (
     RecordingPool,
     assert_holdouts_are_folds,
     fd_gradient,
+    fit_predict_of,
     logistic_objective,
     logistic_objective_gradient,
     recording_learner,
     rel_error,
+    stand_in_nets,
 )
 
 
@@ -44,7 +51,7 @@ def test_oof_hand_computation_two_folds():
     # mean-label learner trained on the other fold predicts 0.5 everywhere.
     samples = make_samples([1, 1, 0, 0])
     folds = FoldAssignment(fold_of={0: 0, 1: 1, 2: 0, 3: 1}, k=2)
-    table = oof_predictions(samples, [0, 1, 2, 3], folds, [mean_label])
+    table = oof_predictions(samples, [0, 1, 2, 3], folds, fit_predict_of(mean_label))
     assert np.allclose(table.matrix, 0.5)
     assert table.labels.tolist() == [1, 1, 0, 0]
 
@@ -54,7 +61,7 @@ def test_oof_no_leakage_provenance():
     folds = FoldAssignment(fold_of={i: i % 3 for i in range(6)}, k=3)
     calls = []
     learner = recording_learner(mean_label, calls)
-    table = oof_predictions(samples, list(range(6)), folds, [learner] * 2)
+    table = oof_predictions(samples, list(range(6)), folds, fit_predict_of(learner, learner))
     assert sorted(fold for fold, _, _ in calls) == [0, 0, 1, 1, 2, 2]
     assert_holdouts_are_folds(calls, samples, range(6), folds)
     assert table.fold_of.tolist() == [i % 3 for i in range(6)]
@@ -65,7 +72,8 @@ def test_oof_leave_one_out_boundary():
     samples = make_samples([1, 0, 1, 0, 1])
     folds = FoldAssignment(fold_of={i: i for i in range(n)}, k=n)
     calls = []
-    table = oof_predictions(samples, list(range(n)), folds, [recording_learner(mean_label, calls)])
+    fit_predict = fit_predict_of(recording_learner(mean_label, calls))
+    table = oof_predictions(samples, list(range(n)), folds, fit_predict)
     assert [fold for fold, _, _ in calls] == list(range(n))
     assert_holdouts_are_folds(calls, samples, range(n), folds)
     assert all(len(fit) == n - 1 for _, fit, _ in calls)
@@ -76,27 +84,122 @@ def test_oof_leave_one_out_boundary():
         assert table.matrix[i, 0] == pytest.approx(expected)
 
 
-def test_oof_learner_failure_names_fold():
-    def exploding(fold, fit_samples, holdout_samples):
-        raise RuntimeError("boom")
+@st.composite
+def _fold_assignments(draw):
+    """2-30 training ids among up to 40 samples, each given one of 2-8 folds."""
+    n_folds = draw(st.integers(2, 8))
+    labels = draw(st.lists(st.integers(0, 1), min_size=2, max_size=40))
+    ids = draw(st.lists(st.sampled_from(range(len(labels))), min_size=2, max_size=30,
+                        unique=True))
+    fold_of = {i: draw(st.integers(0, n_folds - 1)) for i in ids}
+    return make_samples(labels), ids, FoldAssignment(fold_of=fold_of, k=n_folds)
 
+
+def _value(sample, k):
+    """The fakes' prediction of learner k for one sample."""
+    return (int(sample.subject_id[1:]) + 0.25 * k) / 64
+
+
+def _values(held, width):
+    """The fakes' (len(held), width) predictions for a fold's holdout samples."""
+    return np.array([[_value(s, k) for k in range(width)] for s in held]).reshape(len(held), width)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_fold_assignments(), width=st.integers(1, 3))
+def test_oof_splits_are_the_folds_and_rows_land_on_their_ids(case, width):
+    samples, ids, folds = case
+    seen = []
+
+    def fake(splits):
+        seen.extend(splits)
+        return [_values(held, width) for _, _, held in splits]
+
+    table = oof_predictions(samples, ids, folds, fake)
+    assert [fold for fold, _, _ in seen] == list(range(folds.k))
+    train = [samples[i].sample_id for i in ids]
+    for fold, fit, held in seen:
+        fit_ids, held_ids = [s.sample_id for s in fit], [s.sample_id for s in held]
+        assert held_ids == [samples[i].sample_id for i in ids if folds.fold_of[i] == fold]
+        assert not set(fit_ids) & set(held_ids)
+        assert sorted(fit_ids + held_ids) == sorted(train)
+    assert table.train_ids == ids
+    assert table.matrix.tolist() == [[_value(samples[i], k) for k in range(width)] for i in ids]
+    assert table.fold_of.tolist() == [folds.fold_of[i] for i in ids]
+    assert table.labels.tolist() == [samples[i].label for i in ids]
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_fold_assignments(), width=st.integers(1, 3),
+       fault=st.sampled_from(["row", "no row", "column", "no column", "nan"]), data=st.data())
+def test_oof_a_fold_with_a_wrong_shape_or_a_nan_is_named(case, width, fault, data):
+    samples, ids, folds = case
+    bad = data.draw(st.sampled_from(sorted(set(folds.fold_of.values()))), label="bad fold")
+    if fault == "no column" and width == 1 and bad != 0:
+        width = 2  # fold 0 then keeps a column for the bad fold to lose
+
+    def fake(splits):
+        results = []
+        for fold, _, held in splits:
+            preds = _values(held, width)
+            if fold == bad:
+                rows, cols = preds.shape
+                preds = {"row": np.zeros((rows + 1, cols)), "no row": preds[1:],
+                         "column": np.zeros((rows, cols + 1)), "no column": preds[:, 1:],
+                         "nan": np.where(np.arange(cols) == cols - 1, math.nan, preds)}[fault]
+            results.append(preds)
+        return results
+
+    with pytest.raises(RuntimeError, match=rf"\bfold {bad}\b"):
+        oof_predictions(samples, ids, folds, fake)
+
+
+def test_oof_a_result_per_fold_and_an_id_in_a_fold_are_required():
     samples = make_samples([1, 0, 1, 0])
     folds = FoldAssignment(fold_of={0: 0, 1: 0, 2: 1, 3: 1}, k=2)
-    with pytest.raises(RuntimeError, match="fold 0"):
-        oof_predictions(samples, [0, 1, 2, 3], folds, [exploding])
+    with pytest.raises(RuntimeError, match="unfilled rows"):
+        oof_predictions(samples, [0, 1, 2, 3], folds, lambda splits: [np.zeros((2, 1))])
+    folds.fold_of[3] = 2  # a training id in no fold is never predicted
+    with pytest.raises(RuntimeError, match="unfilled rows"):
+        oof_predictions(samples, [0, 1, 2, 3], folds, fit_predict_of(mean_label))
+
+
+def serially(monkeypatch):
+    monkeypatch.setattr(pipeline, "_worker_count", lambda jobs: 1)
+
+
+def on_two_forked_workers(monkeypatch):
+    """Pool through two forked workers, which inherit the stand-in nets."""
+    monkeypatch.setattr(pipeline, "_worker_count", lambda jobs: 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", functools.partial(
+        ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
+
+
+def test_oof_learner_failure_names_fold(monkeypatch):
+    def exploding(fold, fit_samples, holdout_samples):
+        raise ValueError("boom")
+
+    serially(monkeypatch)
+    samples = make_samples([1, 0, 1, 0])
+    folds = FoldAssignment(fold_of={0: 0, 1: 0, 2: 1, 3: 1}, k=2)
+    fit_predict = stand_in_nets(monkeypatch, [exploding, mean_label], samples, folds)
+    with pytest.raises(RuntimeError, match="base learner 0 failed on fold 0: boom"):
+        oof_predictions(samples, [0, 1, 2, 3], folds, fit_predict)
 
 
 @pytest.mark.parametrize("error", [ConfigError, DataError, NumericError])
-def test_oof_learner_taxonomy_error_keeps_its_type(error):
+def test_oof_learner_taxonomy_error_keeps_its_type(monkeypatch, error):
     def failing(fold, fit_samples, holdout_samples):
         if fold == 1:
             raise error("no good")
         return mean_label(fold, fit_samples, holdout_samples)
 
+    serially(monkeypatch)
     samples = make_samples([1, 0, 1, 0])
     folds = FoldAssignment(fold_of={0: 0, 1: 0, 2: 1, 3: 1}, k=2)
+    fit_predict = stand_in_nets(monkeypatch, [mean_label, failing], samples, folds)
     with pytest.raises(error, match="base learner 1 failed on fold 1: no good") as info:
-        oof_predictions(samples, [0, 1, 2, 3], folds, [mean_label, failing])
+        oof_predictions(samples, [0, 1, 2, 3], folds, fit_predict)
     assert type(info.value) is error
 
 
@@ -114,14 +217,14 @@ def recording(root, fold, fit_samples, holdout_samples):
 
 
 def test_pool_raises_the_lowest_failing_job_and_cancels_the_rest(tmp_path, monkeypatch):
-    # Workers import this module to unpickle the learner; the patch acts here.
-    monkeypatch.setattr(pipeline, "_worker_count", lambda jobs: 2)
+    on_two_forked_workers(monkeypatch)
     n_folds = 32
     samples = make_samples([i % 2 for i in range(2 * n_folds)])
     folds = FoldAssignment(fold_of={i: i % n_folds for i in range(2 * n_folds)}, k=n_folds)
-    learners = [functools.partial(recording, tmp_path)]
+    learners = [functools.partial(recording, tmp_path), mean_label]
+    fit_predict = stand_in_nets(monkeypatch, learners, samples, folds)
     with pytest.raises(NumericError, match="base learner 0 failed on fold 1: fold 1 failed last"):
-        oof_predictions(samples, list(range(2 * n_folds)), folds, learners, pipeline.pool_map)
+        oof_predictions(samples, list(range(2 * n_folds)), folds, fit_predict)
     # The DataError of fold 2 arrived first; jobs still queued were cancelled.
     assert (tmp_path / "fit2").exists()
     assert len(list(tmp_path.glob("fit*"))) < n_folds
@@ -145,24 +248,29 @@ def test_pool_submits_each_fold_longest_first_and_raises_in_fold_order(monkeypat
     monkeypatch.setattr(RecordingPool, "submitted", [])
     samples = make_samples([1, 0, 1, 0, 1, 0])
     folds = FoldAssignment(fold_of={i: i % 3 for i in range(6)}, k=3)
-    # A cheap learner, a costly one and a cheap one that ties with the first.
+    arch_ids = microcnn.architecture_ids(3)  # training cost convA < convB < convC
+
+    def submitted():
+        return [(job[3], arch_ids.index(job[2])) for job in RecordingPool.submitted]
+
     learners = [functools.partial(shifted, shift) for shift in (0.0, 0.1, 0.2)]
-    table = oof_predictions(samples, list(range(6)), folds, learners, pipeline.pool_map, [1, 3, 1])
-    assert [(job[3], job[2]) for job in RecordingPool.submitted] == [
-        (fold, k) for fold in range(3) for k in (1, 0, 2)
-    ]
-    serial = oof_predictions(samples, list(range(6)), folds, learners)
+    table = oof_predictions(samples, list(range(6)), folds,
+                            stand_in_nets(monkeypatch, learners, samples, folds))
+    assert submitted() == [(fold, k) for fold in range(3) for k in (2, 1, 0)]
+    serially(monkeypatch)
+    serial = oof_predictions(samples, list(range(6)), folds,
+                             stand_in_nets(monkeypatch, learners, samples, folds))
     assert table.matrix.tobytes() == serial.matrix.tobytes()
 
-    # The cheap learner fails at fold 0 and is submitted after the costly
-    # one, which fails at fold 1: the error is still the serial run's.
+    # The cheapest learner fails at fold 0 and is submitted after the
+    # costliest, which fails at fold 1: the error is still the serial run's.
+    monkeypatch.setattr(pipeline, "_worker_count", lambda jobs: 2)
     RecordingPool.submitted.clear()
-    learners = [functools.partial(fails_at, 0, 0.0), functools.partial(fails_at, 1, 0.0)]
+    learners = [functools.partial(fails_at, 0, 0.0), mean_label, functools.partial(fails_at, 1, 0.0)]
     with pytest.raises(NumericError, match="base learner 0 failed on fold 0: fold 0 failed"):
-        oof_predictions(samples, list(range(6)), folds, learners, pipeline.pool_map, [1, 3])
-    assert [(job[3], job[2]) for job in RecordingPool.submitted] == [
-        (fold, k) for fold in range(3) for k in (1, 0)
-    ]
+        oof_predictions(samples, list(range(6)), folds,
+                        stand_in_nets(monkeypatch, learners, samples, folds))
+    assert submitted() == [(fold, k) for fold in range(3) for k in (2, 1, 0)]
 
 
 @pytest.mark.parametrize("costly_fails_at", [0, 1])
@@ -171,12 +279,13 @@ def test_pool_raises_the_first_failing_job_in_fold_order_not_the_first_to_fail(
 ):
     # On two workers the costly learner, submitted first in each fold, fails
     # at once, while the cheap learner's fold-0 fit still runs.
-    monkeypatch.setattr(pipeline, "_worker_count", lambda jobs: 2)
+    on_two_forked_workers(monkeypatch)
     samples = make_samples([1, 0, 1, 0, 1, 0])
     folds = FoldAssignment(fold_of={i: i % 3 for i in range(6)}, k=3)
     learners = [functools.partial(fails_at, 0, 0.5), functools.partial(fails_at, costly_fails_at, 0)]
     with pytest.raises(NumericError, match="base learner 0 failed on fold 0: fold 0 failed"):
-        oof_predictions(samples, list(range(6)), folds, learners, pipeline.pool_map, [1, 3])
+        oof_predictions(samples, list(range(6)), folds,
+                        stand_in_nets(monkeypatch, learners, samples, folds))
 
 
 def test_meta_predict_zero_parameters_is_half():
