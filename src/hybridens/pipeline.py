@@ -94,8 +94,7 @@ def pool_map(fn: Callable, jobs: list) -> list:
     pool submits in ascending key order, ties in input order, so keys that
     put the longest jobs first keep any worker from idling at the end
     (Graham's longest-processing-time rule).  Results come back in input
-    order, so the first failing job in input order raises, and the jobs no
-    worker has started are cancelled.
+    order, so the first failing job in input order raises.
 
     Each pool worker starts with `(fn, jobs)`: a forked worker inherits
     them, and under spawn or forkserver the pool's initializer pickles them
@@ -103,9 +102,9 @@ def pool_map(fn: Callable, jobs: list) -> list:
     initializer also fixes glibc's mmap and trim thresholds in each worker.
 
     In the main thread, while the pool is open, a SIGTERM with its default
-    action raises `Stopped`, and that or Ctrl-C ends the workers before it
-    leaves.  Both signals are held while the workers start: an exception
-    raised in the hooks that run after a fork is lost."""
+    action raises `Stopped`.  That, Ctrl-C or a failing job ends the workers
+    before it leaves.  Both signals are held while the workers start: an
+    exception raised in the hooks that run after a fork is lost."""
     workers = _worker_count(len(jobs))
     if workers <= 1:
         return list(map(fn, jobs))
@@ -123,14 +122,11 @@ def pool_map(fn: Callable, jobs: list) -> list:
                 if stop:  # the workers have started: a signal held or to come raises here
                     signal.signal(signal.SIGTERM, _stop)
                     signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-                return [futures.pop(i).result() for i in range(len(jobs))]
-            except (KeyboardInterrupt, Stopped):  # end the nets in training, not just the queue
+                return [futures[i].result() for i in range(len(jobs))]
+            except BaseException:  # ending the workers breaks the pool: its queued jobs fail
                 for process in list(pool._processes.values()):
                     process.terminate()
                 raise
-            finally:  # on a failure, cancel the jobs no worker has started
-                for future in futures.values():
-                    future.cancel()
     finally:
         if stop:
             signal.signal(signal.SIGTERM, signal.SIG_DFL)
@@ -150,15 +146,34 @@ def _keep_jobs(fn: Callable, jobs: list) -> None:
     threshold at 8 MiB, so training's large temporaries (1.2 MB conv outputs)
     reuse heap pages, not fresh mappings.  Only pool workers run this: the
     caller's allocator stays.  A worker leaves Ctrl-C to its parent, and
-    SIGTERM, which `pool_map` held while it started, ends it."""
+    SIGTERM, which `pool_map` held while it started, ends it.
+
+    A worker also ends with the run, even a SIGKILLed one: on Linux its
+    parent's death sends it SIGTERM, and a worker whose parent is not the
+    run (forkserver's server, which its workers keep alive) or no longer is
+    (the run died before the worker asked for that) waits in a thread for
+    the run's end of the pipe `multiprocessing` keeps to the worker to close."""
+    import multiprocessing
+
     global _worker_jobs
     _worker_jobs = fn, jobs
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    if hasattr(_libc, "prctl"):
+        _libc.prctl(1, signal.SIGTERM)  # PR_SET_PDEATHSIG
     if hasattr(signal, "pthread_sigmask"):
         signal.pthread_sigmask(signal.SIG_UNBLOCK, [signal.SIGTERM])
+    run = multiprocessing.parent_process()
+    if run and os.getppid() != run.pid:
+        threading.Thread(target=_exit_after, args=(run,), daemon=True).start()
     if hasattr(_libc, "mallopt"):
         _libc.mallopt(-3, 4 << 20)  # M_MMAP_THRESHOLD
         _libc.mallopt(-1, 8 << 20)  # M_TRIM_THRESHOLD
+
+
+def _exit_after(run) -> None:
+    """End this pool worker once process `run` has ended."""
+    run.join()
+    os._exit(1)
 
 
 def _run_job(i: int):
@@ -266,12 +281,10 @@ def train_bases(
     samples: list[LabeledSample],
     split: DatasetSplit,
     out_dir: Path,
-    map: Callable = map,
 ) -> tuple[dict[str, microcnn.MicroNet], np.ndarray, np.ndarray, list[list[dict]]]:
     """Two-phase-train the K base nets; return them with val/test predictions.
     Writes the checkpoints, their histories, `preds_val.csv` and `preds_test.csv`.
-    The nets train through `map`, which may run them in any order or process;
-    their submission keys put the costliest first (`microcnn.training_cost`)."""
+    The nets train through `pool_map`, keyed costliest first (`microcnn.training_cost`)."""
     train = [samples[i] for i in split.train_ids]
     val = [samples[i] for i in split.val_ids]
     test = [samples[i] for i in split.test_ids]
@@ -283,7 +296,7 @@ def train_bases(
     histories = []
     jobs = [(-microcnn.training_cost(arch, config), config, arch, None, train, val, [val, test])
             for arch in arch_ids]
-    for k, (net, history, (val_p, test_p)) in enumerate(map(_train_net, jobs)):
+    for k, (net, history, (val_p, test_p)) in enumerate(pool_map(_train_net, jobs)):
         arch = arch_ids[k]
         microcnn.save_checkpoint(net, ckpt_dir / f"{arch}.ckpt")
         _write_json(ckpt_dir / f"{arch}_history.json", {"architecture_id": arch, "epochs": history})
@@ -297,6 +310,20 @@ def train_bases(
             out_dir / f"preds_{name}.csv", preds, labels, [s.sample_id for s in part]
         )
     return nets, val_preds, test_preds, histories
+
+
+def base_stages(
+    config: RunConfig, data_dir: str | Path, out_dir: Path
+) -> tuple[list[LabeledSample], DatasetSplit, dict[str, microcnn.MicroNet], np.ndarray, np.ndarray]:
+    """A run's first stages, which `hybridens train-base` runs alone: ingest,
+    split and train-base (`train_bases`), each failure named by its stage."""
+    with error_context("stage ingest"):
+        samples = load_image_dir(data_dir, config.input_side)
+    with error_context("stage split"):
+        split = split_dataset(samples, SPLIT_RATIOS, config.seed)
+    with error_context("stage train-base"):
+        nets, val_preds, test_preds, _ = train_bases(config, samples, split, out_dir)
+    return samples, split, nets, val_preds, test_preds
 
 
 def _fit_predict_oof(config: RunConfig, splits: list[tuple]) -> list[np.ndarray]:
@@ -378,17 +405,11 @@ def run_pipeline(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    with error_context("stage ingest"):
-        samples = load_image_dir(data_dir, config.input_side)
-    with error_context("stage split"):
-        split = split_dataset(samples, SPLIT_RATIOS, config.seed)
+    samples, split, nets, val_preds, test_preds = base_stages(config, data_dir, out)
     val = [samples[i] for i in split.val_ids]
     test = [samples[i] for i in split.test_ids]
     val_labels = np.array([s.label for s in val], dtype=np.int64)
     test_labels = np.array([s.label for s in test], dtype=np.int64)
-
-    with error_context("stage train-base"):
-        nets, val_preds, test_preds, _ = train_bases(config, samples, split, out, pool_map)
 
     with error_context("stage weights"):
         fit = weighting.optimize_weights(val_preds, val_labels)

@@ -345,7 +345,11 @@ def test_fuse_and_evaluate_trim_the_heap_when_they_return(tmp_path, monkeypatch)
 
 def test_a_pool_workers_initializer_fixes_glibcs_thresholds_and_keeps_the_jobs(monkeypatch):
     calls, jobs = [], [(0, "job")]
-    monkeypatch.setattr(pipeline, "_libc", SimpleNamespace(mallopt=lambda *args: calls.append(args)))
+
+    def record(*args):
+        calls.append(args)
+
+    monkeypatch.setattr(pipeline, "_libc", SimpleNamespace(mallopt=record, prctl=record))
     monkeypatch.setattr(pipeline, "_worker_jobs", ())
     handlers = {sig: signal.getsignal(sig) for sig in (signal.SIGINT, signal.SIGTERM)}
     mask = signal.pthread_sigmask(signal.SIG_BLOCK, [signal.SIGTERM])  # as pool_map forks
@@ -359,10 +363,11 @@ def test_a_pool_workers_initializer_fixes_glibcs_thresholds_and_keeps_the_jobs(m
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         for sig, handler in handlers.items():
             signal.signal(sig, handler)
-    assert calls == [(-3, 4 << 20), (-1, 8 << 20)]  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
+    # PR_SET_PDEATHSIG, then M_MMAP_THRESHOLD and M_TRIM_THRESHOLD
+    assert calls == [(1, signal.SIGTERM), (-3, 4 << 20), (-1, 8 << 20)]
     assert pipeline._worker_jobs[0] is len and pipeline._worker_jobs[1] is jobs
     assert pipeline._run_job(0) == 2
-    for libc in (SimpleNamespace(), None):  # a libc without mallopt, no libc handle
+    for libc in (SimpleNamespace(), None):  # a libc without prctl or mallopt, no libc handle
         monkeypatch.setattr(pipeline, "_libc", libc)
         try:
             pipeline._keep_jobs(len, jobs)
@@ -471,6 +476,93 @@ def test_sigterm_ends_a_run_and_its_workers_with_exit_143(tmp_path):
             if _running(pid):
                 os.kill(int(pid), signal.SIGKILL)
         run.wait(timeout=10)
+
+
+def _descendants(pid) -> list[str]:
+    """The pids of every process below `pid`, read from /proc."""
+    found, parents = [], [pid]
+    while parents:
+        for children in Path(f"/proc/{parents.pop()}/task").glob("*/children"):
+            try:
+                kids = children.read_text().split()
+            except OSError:  # the process has just exited
+                continue
+            found += kids
+            parents += kids
+    return found
+
+
+@pytest.mark.skipif(not hasattr(pipeline._libc, "prctl"), reason="PR_SET_PDEATHSIG is Linux's")
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="one CPU starts no pool")
+@pytest.mark.parametrize("method", ["fork", "spawn", "forkserver"])
+@pytest.mark.parametrize("delay", [0, 1])
+def test_a_sigkilled_run_leaves_no_process_behind(tmp_path, method, delay):
+    """SIGKILL to a run, as soon as its pool has two workers or 1 s later,
+    ends every process it started within 10 s: the workers, the resource
+    tracker of spawn and forkserver, and forkserver's server.  The nets train
+    long enough (1,000 epochs) that the base stage's pool is still open after 1 s."""
+    data = tmp_path / "d"
+    synth_data(SynthSpec(subjects_per_class=6, slices_per_subject=2, image_side=16, seed=21), data)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(dict(TINY, seed=21, finetune_epochs=1000)))
+    env = {**os.environ, "PYTHONPATH": str(Path(pipeline.__file__).parents[1])}
+    code = ("import multiprocessing, sys; from hybridens import cli; "
+            f"multiprocessing.set_start_method({method!r}); sys.exit(cli.main(sys.argv[1:]))")
+    run = subprocess.Popen(
+        [sys.executable, "-c", code, "run", "--config", str(config), "--data", str(data),
+         "--out", str(tmp_path / "o")],
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env=env,
+    )
+    pool = {"fork": 2, "spawn": 3, "forkserver": 4}[method]  # with the resource tracker and server
+    seen = []
+    try:
+        deadline = time.monotonic() + 60
+        while len(seen) < pool and run.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.002)
+            seen = _descendants(run.pid)
+        assert len(seen) >= pool, "no pool started"
+        time.sleep(delay)
+        now = _descendants(run.pid)
+        assert len(now) >= pool, "the pool closed before the kill"
+        seen = list(dict.fromkeys(seen + now))
+        run.kill()
+        run.wait(timeout=10)
+        deadline = time.monotonic() + 10
+        while any(map(_running, seen)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not [pid for pid in seen if _running(pid)]
+    finally:
+        for pid in [run.pid, *seen]:
+            if _running(pid):
+                os.kill(int(pid), signal.SIGKILL)
+        run.wait(timeout=10)
+
+
+def fail_or_sleep(job):
+    """A `pool_map` job: job 0 fails at once, and every other job sleeps 20 s."""
+    if job[0] == 0:
+        raise NumericError("job 0 failed")
+    time.sleep(20)
+
+
+@pytest.mark.parametrize("method", ["fork", "spawn", "forkserver"])
+def test_a_failing_job_ends_the_jobs_still_running(monkeypatch, method):
+    """On two workers, job 0 fails while three jobs of 20 s are running or
+    queued: its error is raised within 5 s, and no worker is left."""
+    monkeypatch.setattr(pipeline, "_worker_count", lambda jobs: 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", functools.partial(
+        ProcessPoolExecutor, mp_context=multiprocessing.get_context(method)))
+    before = set(multiprocessing.active_children())
+    faulthandler.dump_traceback_later(120, exit=True)  # a hang would stall the suite
+    try:
+        started = time.perf_counter()
+        with pytest.raises(NumericError, match="job 0 failed"):
+            pipeline.pool_map(fail_or_sleep, [(0,), (1,), (2,), (3,)])
+        elapsed = time.perf_counter() - started
+    finally:
+        faulthandler.cancel_dump_traceback_later()
+    assert elapsed < 5, elapsed
+    assert set(multiprocessing.active_children()) <= before
 
 
 def make_fuse_csv(path, n=80, seed=0, perfect_first=False):
@@ -728,6 +820,32 @@ def test_cli_run_exits_2_when_input_side_is_too_small_for_a_layout(tmp_path, cap
                      "--out", str(tmp_path / "o")]) == 5
     err = capsys.readouterr().err
     assert err.startswith("run failed: stage ingest: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("command", ["run", "train-base"])
+@pytest.mark.parametrize("function, error, code, message", [
+    ("load_image_dir", DataError("bad image"), 3, "data error: stage ingest: bad image"),
+    ("split_dataset", ZeroDivisionError("no subjects"), 5, "run failed: stage split: no subjects"),
+    ("train_bases", NumericError("loss diverged"), 4,
+     "numeric failure: stage train-base: loss diverged"),
+], ids=["ingest", "split", "train-base"])
+def test_a_first_stage_fails_alike_through_run_and_train_base(
+    tmp_path, monkeypatch, capsys, command, function, error, code, message
+):
+    """`run` and `train-base` share their first three stages, so a failure
+    in one of them has the same stage name, stderr line and exit code."""
+    def fail(*args):
+        raise error
+
+    monkeypatch.setattr(pipeline, function, fail)
+    data = tmp_path / "d"
+    synth_data(SynthSpec(subjects_per_class=6, slices_per_subject=1, image_side=16, seed=1), data)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(dict(TINY, seed=1)))
+    capsys.readouterr()
+    assert cli.main([command, "--config", str(config), "--data", str(data),
+                     "--out", str(tmp_path / "o")]) == code
+    assert capsys.readouterr().err == message + "\n"
 
 
 @pytest.mark.parametrize(

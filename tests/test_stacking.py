@@ -225,7 +225,7 @@ def test_pool_raises_the_lowest_failing_job_and_cancels_the_rest(tmp_path, monke
     fit_predict = stand_in_nets(monkeypatch, learners, samples, folds)
     with pytest.raises(NumericError, match="base learner 0 failed on fold 1: fold 1 failed last"):
         oof_predictions(samples, list(range(2 * n_folds)), folds, fit_predict)
-    # The DataError of fold 2 arrived first; jobs still queued were cancelled.
+    # The DataError of fold 2 arrived first; jobs still queued never ran.
     assert (tmp_path / "fit2").exists()
     assert len(list(tmp_path.glob("fit*"))) < n_folds
 
