@@ -103,40 +103,45 @@ def pool_map(fn: Callable, jobs: list) -> list:
 
     In the main thread, while the pool is open, a SIGTERM with its default
     action raises `Stopped`.  That, Ctrl-C or a failing job ends the workers
-    before it leaves.  Both signals are held while the workers start: an
-    exception raised in the hooks that run after a fork is lost."""
+    before it leaves.  While the workers start, both signals are only noted
+    (an exception raised in the hooks that run after a fork is lost): Python
+    runs a handler in the main thread, whichever thread a signal reached.  Once
+    they run, the caller's SIGINT handler comes back and the noted ones are raised."""
     workers = _worker_count(len(jobs))
     if workers <= 1:
         return list(map(fn, jobs))
     from concurrent.futures import ProcessPoolExecutor
 
     order = sorted(range(len(jobs)), key=lambda i: jobs[i][0])
-    stop = (hasattr(signal, "pthread_sigmask")
-            and signal.getsignal(signal.SIGTERM) is signal.SIG_DFL
+    stop = (signal.getsignal(signal.SIGTERM) is signal.SIG_DFL
             and threading.current_thread() is threading.main_thread())
-    mask = stop and signal.pthread_sigmask(signal.SIG_BLOCK, [signal.SIGINT, signal.SIGTERM])
+    _held.clear()
+    saved = {sig: signal.signal(sig, lambda signum, frame: _held.append(signum))
+             for sig in (signal.SIGINT, signal.SIGTERM) if stop}
     try:
         with ProcessPoolExecutor(workers, initializer=_keep_jobs, initargs=(fn, jobs)) as pool:
-            futures = {i: pool.submit(_run_job, i) for i in order}
             try:
-                if stop:  # the workers have started: a signal held or to come raises here
+                futures = {i: pool.submit(_run_job, i) for i in order}
+                if stop:  # the workers have started: a signal noted or to come raises here
+                    signal.signal(signal.SIGINT, saved[signal.SIGINT])
                     signal.signal(signal.SIGTERM, _stop)
-                    signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+                    for signum in _held:
+                        signal.raise_signal(signum)
                 return [futures[i].result() for i in range(len(jobs))]
             except BaseException:  # ending the workers breaks the pool: its queued jobs fail
                 for process in list(pool._processes.values()):
                     process.terminate()
                 raise
     finally:
-        if stop:
-            signal.signal(signal.SIGTERM, signal.SIG_DFL)
-            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        for sig, handler in saved.items():
+            signal.signal(sig, handler)
 
 
 def _stop(signum: int, frame) -> None:
     raise Stopped(signal.Signals(signum).name)
 
 
+_held: list[int] = []  # the signals noted while a pool's workers started
 _worker_jobs: tuple = ()  # (fn, jobs), set in each pool worker by `_keep_jobs`
 
 
@@ -146,24 +151,21 @@ def _keep_jobs(fn: Callable, jobs: list) -> None:
     threshold at 8 MiB, so training's large temporaries (1.2 MB conv outputs)
     reuse heap pages, not fresh mappings.  Only pool workers run this: the
     caller's allocator stays.  A worker leaves Ctrl-C to its parent, and
-    SIGTERM, which `pool_map` held while it started, ends it.
+    SIGTERM ends it, even one it noted before this ran.
 
-    A worker also ends with the run, even a SIGKILLed one: on Linux its
-    parent's death sends it SIGTERM, and a worker whose parent is not the
-    run (forkserver's server, which its workers keep alive) or no longer is
-    (the run died before the worker asked for that) waits in a thread for
-    the run's end of the pipe `multiprocessing` keeps to the worker to close."""
+    A worker also ends with the run, even a SIGKILLed one: a thread waits for
+    the pipe `multiprocessing` keeps to it from the run to close (a forked
+    worker holds those of the workers forked before it open until it ends)."""
     import multiprocessing
 
     global _worker_jobs
     _worker_jobs = fn, jobs
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    if hasattr(_libc, "prctl"):
-        _libc.prctl(1, signal.SIGTERM)  # PR_SET_PDEATHSIG
-    if hasattr(signal, "pthread_sigmask"):
-        signal.pthread_sigmask(signal.SIG_UNBLOCK, [signal.SIGTERM])
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    for signum in _held:
+        signal.raise_signal(signum)
     run = multiprocessing.parent_process()
-    if run and os.getppid() != run.pid:
+    if run:  # None only where a stand-in pool runs this in the caller's process
         threading.Thread(target=_exit_after, args=(run,), daemon=True).start()
     if hasattr(_libc, "mallopt"):
         _libc.mallopt(-3, 4 << 20)  # M_MMAP_THRESHOLD

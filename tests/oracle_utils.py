@@ -176,9 +176,10 @@ class RecordingPool:
     once, as each worker runs it in its own process, but against a stand-in
     glibc handle that records the initializer's `mallopt` calls in
     `libc_calls`, and it keeps the worker state that the initializer sets
-    for itself: the allocator, signal handlers, signal mask and
-    `pipeline._worker_jobs` of this process, and so of every later test,
-    stay the caller's."""
+    for itself: the allocator, signal handlers and `pipeline._worker_jobs`
+    of this process, and so of every later test, stay the caller's.  The
+    initializer raises again each signal that `pool_map` has noted so far,
+    so a stand-in that sends one sends it after this runs."""
 
     submitted: list = []
     libc_calls: list = []
@@ -187,7 +188,6 @@ class RecordingPool:
     def __init__(self, workers, initializer, initargs):
         libc, jobs = pipeline._libc, pipeline._worker_jobs
         handlers = {sig: signal.getsignal(sig) for sig in (signal.SIGINT, signal.SIGTERM)}
-        mask = signal.pthread_sigmask(signal.SIG_BLOCK, [])
         pipeline._libc = SimpleNamespace(mallopt=lambda *args: self.libc_calls.append(args))
         try:
             initializer(*initargs)
@@ -196,7 +196,6 @@ class RecordingPool:
             pipeline._libc, pipeline._worker_jobs = libc, jobs
             for sig, handler in handlers.items():
                 signal.signal(sig, handler)
-            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 
     def __enter__(self):
         return self

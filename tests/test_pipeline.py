@@ -1,4 +1,5 @@
 import concurrent.futures
+import contextlib
 import csv
 import faulthandler
 import functools
@@ -349,25 +350,23 @@ def test_a_pool_workers_initializer_fixes_glibcs_thresholds_and_keeps_the_jobs(m
     def record(*args):
         calls.append(args)
 
-    monkeypatch.setattr(pipeline, "_libc", SimpleNamespace(mallopt=record, prctl=record))
+    monkeypatch.setattr(pipeline, "_libc", SimpleNamespace(mallopt=record))
     monkeypatch.setattr(pipeline, "_worker_jobs", ())
     handlers = {sig: signal.getsignal(sig) for sig in (signal.SIGINT, signal.SIGTERM)}
-    mask = signal.pthread_sigmask(signal.SIG_BLOCK, [signal.SIGTERM])  # as pool_map forks
     try:
+        signal.signal(signal.SIGTERM, signal.SIG_IGN)  # as a caller's handler would be inherited
         pipeline._keep_jobs(len, jobs)
         # A worker leaves Ctrl-C to its parent, and SIGTERM ends it.
         assert signal.getsignal(signal.SIGINT) is signal.SIG_IGN
         assert signal.getsignal(signal.SIGTERM) is signal.SIG_DFL
-        assert signal.SIGTERM not in signal.pthread_sigmask(signal.SIG_BLOCK, [])
     finally:
-        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         for sig, handler in handlers.items():
             signal.signal(sig, handler)
-    # PR_SET_PDEATHSIG, then M_MMAP_THRESHOLD and M_TRIM_THRESHOLD
-    assert calls == [(1, signal.SIGTERM), (-3, 4 << 20), (-1, 8 << 20)]
+    # M_MMAP_THRESHOLD, then M_TRIM_THRESHOLD
+    assert calls == [(-3, 4 << 20), (-1, 8 << 20)]
     assert pipeline._worker_jobs[0] is len and pipeline._worker_jobs[1] is jobs
     assert pipeline._run_job(0) == 2
-    for libc in (SimpleNamespace(), None):  # a libc without prctl or mallopt, no libc handle
+    for libc in (SimpleNamespace(), None):  # a libc without mallopt, no libc handle
         monkeypatch.setattr(pipeline, "_libc", libc)
         try:
             pipeline._keep_jobs(len, jobs)
@@ -375,6 +374,15 @@ def test_a_pool_workers_initializer_fixes_glibcs_thresholds_and_keeps_the_jobs(m
             for sig, handler in handlers.items():
                 signal.signal(sig, handler)
         assert pipeline._worker_jobs[0] is len and pipeline._worker_jobs[1] is jobs
+    # A forked worker inherits what its parent's `pool_map` noted, and what it
+    # noted itself before its initializer ran: a SIGTERM among them ends it.
+    fork = multiprocessing.get_context("fork")
+    for held, code in (([signal.SIGINT], 0), ([signal.SIGINT, signal.SIGTERM], -signal.SIGTERM)):
+        monkeypatch.setattr(pipeline, "_held", held)
+        worker = fork.Process(target=pipeline._keep_jobs, args=(len, jobs))
+        worker.start()
+        worker.join(timeout=30)
+        assert worker.exitcode == code, held
 
 
 def test_one_worker_leaves_the_callers_allocator_alone(monkeypatch):
@@ -403,37 +411,68 @@ def test_the_stand_in_pools_leave_the_test_processs_allocator_alone(monkeypatch,
     assert pipeline._worker_jobs == ()
 
 
-def test_a_pool_holds_sigterm_while_it_starts_and_then_raises_stopped(monkeypatch):
-    """In the main thread, a pool whose SIGTERM has its default action holds
-    the signal while it starts its workers (the stand-in pool runs the jobs
-    then), raises `Stopped` for it once they run, and restores both the
-    handler and the signal mask.  A caller's own handler, or SIG_IGN, stays."""
-    monkeypatch.setattr(pipeline, "_worker_count", lambda jobs: 2)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    held = []
+HOLD_CHILD = """
+import concurrent.futures, json, os, signal, sys, threading, time
+import numpy  # starts BLAS threads, which block no signal
+from hybridens import pipeline
+from hybridens.errors import Stopped
+from oracle_utils import RecordingPool
 
-    def stop_in_job(job):
-        held.append(signal.SIGTERM in signal.pthread_sigmask(signal.SIG_BLOCK, []))
-        if held[-1] or signal.getsignal(signal.SIGTERM) is not signal.SIG_DFL:
-            os.kill(os.getpid(), signal.SIGTERM)
+threading.Thread(target=threading.Event().wait, daemon=True).start()  # and one more
+pipeline._worker_count = lambda jobs: 2
+caught = []
+handlers = {"default_int_handler": signal.default_int_handler, "SIG_DFL": signal.SIG_DFL,
+            "SIG_IGN": signal.SIG_IGN, "caller": lambda signum, frame: caught.append(signum)}
+for name, sigint, sigterm in json.loads(sys.argv[1]):
+    sig = signal.Signals[name]
 
-    previous = signal.getsignal(signal.SIGTERM)
-    mask = signal.pthread_sigmask(signal.SIG_BLOCK, [])
-    caught = []
+    class SignalPool(RecordingPool):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            os.kill(os.getpid(), sig)  # to the process, as `kill` sends it
+            time.sleep(0.1)  # while some thread takes it
+
+    concurrent.futures.ProcessPoolExecutor = SignalPool
+    signal.signal(signal.SIGINT, handlers[sigint])
+    signal.signal(signal.SIGTERM, handlers[sigterm])
+    ran, outcome = [], "returned"
     try:
-        with pytest.raises(Stopped, match="SIGTERM"):
-            pipeline.pool_map(stop_in_job, [(0,), (1,)])
-        assert held == [True, True]
-        for handler in (lambda *args: caught.append(args[0]), signal.SIG_IGN):
-            signal.signal(signal.SIGTERM, handler)
-            held.clear()
-            assert pipeline.pool_map(stop_in_job, [(0,), (1,)]) == [None, None]
-            assert held == [False, False] and signal.getsignal(signal.SIGTERM) is handler
-        assert caught == [signal.SIGTERM] * 2
-    finally:
-        signal.signal(signal.SIGTERM, previous)
-    assert signal.getsignal(signal.SIGTERM) is signal.SIG_DFL
-    assert signal.pthread_sigmask(signal.SIG_BLOCK, []) == mask
+        pipeline.pool_map(ran.append, [(0,), (1,)])
+    except (Stopped, KeyboardInterrupt) as exc:
+        outcome = type(exc).__name__
+    restored = (signal.getsignal(signal.SIGINT) is handlers[sigint]
+                and signal.getsignal(signal.SIGTERM) is handlers[sigterm])
+    print(json.dumps([name, sigint, sigterm, outcome, len(ran), caught, restored]), flush=True)
+    caught.clear()
+"""
+
+
+def test_a_pool_holds_sigterm_while_it_starts_and_then_raises_stopped():
+    """A signal sent to the whole process while a pool starts its workers
+    (a stand-in pool sends it, and then runs the jobs) waits until both
+    jobs have run.  With SIGTERM at its default action, SIGTERM then raises
+    `Stopped`, and SIGINT does what the caller's handler does: raise
+    `KeyboardInterrupt`, nothing under SIG_IGN, or call the caller's own.  A
+    caller's SIGTERM handler, or SIG_IGN, is left alone.  Every handler is
+    the caller's again after.  numpy's BLAS threads and one more thread
+    block no signal, and the kernel may hand it to any of them, so it runs
+    in a child process: a signal that ends it fails this test only."""
+    cases = [  # signal, SIGINT handler, SIGTERM handler; outcome, jobs run, caller's handler saw
+        (("SIGTERM", "default_int_handler", "SIG_DFL"), ("Stopped", 2, [])),
+        (("SIGINT", "default_int_handler", "SIG_DFL"), ("KeyboardInterrupt", 2, [])),
+        (("SIGINT", "SIG_IGN", "SIG_DFL"), ("returned", 2, [])),
+        (("SIGINT", "caller", "SIG_DFL"), ("returned", 2, [signal.SIGINT])),
+        (("SIGTERM", "default_int_handler", "caller"), ("returned", 2, [signal.SIGTERM])),
+        (("SIGTERM", "default_int_handler", "SIG_IGN"), ("returned", 2, [])),
+    ]
+    path = os.pathsep.join([str(Path(pipeline.__file__).parents[1]), str(Path(__file__).parent)])
+    child = subprocess.run(
+        [sys.executable, "-c", HOLD_CHILD, json.dumps([case for case, _ in cases])],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path},
+    )
+    lines = [json.loads(line) for line in child.stdout.splitlines()]
+    expected = [[*case, *outcome, True] for case, outcome in cases]
+    assert (child.returncode, lines) == (0, expected), child.stderr
 
 
 def _running(pid) -> bool:
@@ -442,40 +481,6 @@ def _running(pid) -> bool:
         return Path(f"/proc/{pid}/stat").read_text().rpartition(")")[2].split()[0] != "Z"
     except (OSError, IndexError):
         return False
-
-
-@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="reads /proc")
-@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="one CPU starts no pool")
-def test_sigterm_ends_a_run_and_its_workers_with_exit_143(tmp_path):
-    data = tmp_path / "d"
-    synth_data(SynthSpec(subjects_per_class=6, slices_per_subject=2, image_side=16, seed=21), data)
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps(dict(seed=21, **TINY)))
-    env = {**os.environ, "PYTHONPATH": str(Path(pipeline.__file__).parents[1])}
-    run = subprocess.Popen(
-        [sys.executable, "-m", "hybridens.cli", "run", "--config", str(config),
-         "--data", str(data), "--out", str(tmp_path / "o")],
-        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, env=env,
-    )
-    children, workers = Path(f"/proc/{run.pid}/task/{run.pid}/children"), []
-    try:
-        deadline = time.monotonic() + 60
-        while len(workers) < 2 and run.poll() is None and time.monotonic() < deadline:
-            time.sleep(0.005)
-            workers = children.read_text().split()
-        assert len(workers) >= 2, "no pool started"
-        run.send_signal(signal.SIGTERM)
-        _, err = run.communicate(timeout=10)
-        assert (run.returncode, err) == (143, "stopped by SIGTERM\n")
-        deadline = time.monotonic() + 10
-        while any(map(_running, workers)) and time.monotonic() < deadline:
-            time.sleep(0.05)
-        assert not [pid for pid in workers if _running(pid)]
-    finally:
-        for pid in [run.pid, *workers]:
-            if _running(pid):
-                os.kill(int(pid), signal.SIGKILL)
-        run.wait(timeout=10)
 
 
 def _descendants(pid) -> list[str]:
@@ -492,15 +497,19 @@ def _descendants(pid) -> list[str]:
     return found
 
 
-@pytest.mark.skipif(not hasattr(pipeline._libc, "prctl"), reason="PR_SET_PDEATHSIG is Linux's")
-@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="one CPU starts no pool")
-@pytest.mark.parametrize("method", ["fork", "spawn", "forkserver"])
-@pytest.mark.parametrize("delay", [0, 1])
-def test_a_sigkilled_run_leaves_no_process_behind(tmp_path, method, delay):
-    """SIGKILL to a run, as soon as its pool has two workers or 1 s later,
-    ends every process it started within 10 s: the workers, the resource
-    tracker of spawn and forkserver, and forkserver's server.  The nets train
-    long enough (1,000 epochs) that the base stage's pool is still open after 1 s."""
+# The processes below a run whose pool has two workers, under each start
+# method: the workers, the resource tracker of spawn and forkserver, and
+# forkserver's server.
+POOL_PROCESSES = {"fork": 2, "spawn": 3, "forkserver": 4}
+
+
+@contextlib.contextmanager
+def _run_with_a_pool(tmp_path, method: str):
+    """A `hybridens run` under start method `method`, once the
+    `POOL_PROCESSES[method]` processes below it are up.  Its nets train long
+    enough (1,000 epochs) that the base stage's pool is still open seconds
+    later.  Yields the run and those pids, to which a test may add; on the
+    way out, it SIGKILLs whichever of them is still running."""
     data = tmp_path / "d"
     synth_data(SynthSpec(subjects_per_class=6, slices_per_subject=2, image_side=16, seed=21), data)
     config = tmp_path / "config.json"
@@ -511,31 +520,63 @@ def test_a_sigkilled_run_leaves_no_process_behind(tmp_path, method, delay):
     run = subprocess.Popen(
         [sys.executable, "-c", code, "run", "--config", str(config), "--data", str(data),
          "--out", str(tmp_path / "o")],
-        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env=env,
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, env=env,
     )
-    pool = {"fork": 2, "spawn": 3, "forkserver": 4}[method]  # with the resource tracker and server
     seen = []
     try:
         deadline = time.monotonic() + 60
-        while len(seen) < pool and run.poll() is None and time.monotonic() < deadline:
+        while (len(seen) < POOL_PROCESSES[method] and run.poll() is None
+               and time.monotonic() < deadline):
             time.sleep(0.002)
-            seen = _descendants(run.pid)
-        assert len(seen) >= pool, "no pool started"
-        time.sleep(delay)
-        now = _descendants(run.pid)
-        assert len(now) >= pool, "the pool closed before the kill"
-        seen = list(dict.fromkeys(seen + now))
-        run.kill()
-        run.wait(timeout=10)
-        deadline = time.monotonic() + 10
-        while any(map(_running, seen)) and time.monotonic() < deadline:
-            time.sleep(0.05)
-        assert not [pid for pid in seen if _running(pid)]
+            seen[:] = _descendants(run.pid)
+        assert len(seen) >= POOL_PROCESSES[method], "no pool started"
+        yield run, seen
     finally:
         for pid in [run.pid, *seen]:
             if _running(pid):
                 os.kill(int(pid), signal.SIGKILL)
+        run.communicate(timeout=10)
+
+
+def _left_after_10_s(pids: list[str]) -> list[str]:
+    """Those of `pids` still running after waiting up to 10 s for all of them to end."""
+    deadline = time.monotonic() + 10
+    while any(map(_running, pids)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    return [pid for pid in pids if _running(pid)]
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="reads /proc")
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="one CPU starts no pool")
+@pytest.mark.parametrize("method", ["fork", "spawn", "forkserver"])
+@pytest.mark.parametrize("sig, status", [(signal.SIGTERM, 143), (signal.SIGINT, 130)],
+                         ids=["SIGTERM", "SIGINT"])
+def test_a_stopped_run_ends_its_workers_with_exit_143_or_130(tmp_path, method, sig, status):
+    """SIGTERM or SIGINT to a run once its pool is up ends it with exit 143 or
+    130 and one stderr line, and within 10 s every process it started is gone."""
+    with _run_with_a_pool(tmp_path, method) as (run, seen):
+        run.send_signal(sig)
+        _, err = run.communicate(timeout=10)
+        assert (run.returncode, err) == (status, f"stopped by {sig.name}\n")
+        assert not _left_after_10_s(seen)
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="reads /proc")
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="one CPU starts no pool")
+@pytest.mark.parametrize("method", ["fork", "spawn", "forkserver"])
+@pytest.mark.parametrize("delay", [0, 1])
+def test_a_sigkilled_run_leaves_no_process_behind(tmp_path, method, delay):
+    """SIGKILL to a run, as soon as its pool has two workers or 1 s later,
+    ends every process it started within 10 s: the workers, the resource
+    tracker of spawn and forkserver, and forkserver's server."""
+    with _run_with_a_pool(tmp_path, method) as (run, seen):
+        time.sleep(delay)
+        now = _descendants(run.pid)
+        assert len(now) >= POOL_PROCESSES[method], "the pool closed before the kill"
+        seen += [pid for pid in now if pid not in seen]
+        run.kill()
         run.wait(timeout=10)
+        assert not _left_after_10_s(seen)
 
 
 def fail_or_sleep(job):
