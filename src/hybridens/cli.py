@@ -72,8 +72,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     config = _load_config(args)
     matrix, labels = load_predictions_csv(args.preds)
     scores = {f"p{k + 1}": matrix[:, k] for k in range(matrix.shape[1])}
-    curves = pipeline.roc_curves(labels, scores)
-    rows = pipeline.score_rows(scores, labels, config.threshold, curves)
+    rows, curves = pipeline.score_rows(scores, labels, config.threshold)
     if args.out:
         out = Path(args.out)
         pipeline.write_report(out, {"rows": rows})

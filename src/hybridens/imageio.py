@@ -9,6 +9,7 @@ and heatmap upsampling so it is tested once.
 from __future__ import annotations
 
 import os
+import re
 import struct
 import zlib
 from pathlib import Path
@@ -18,6 +19,10 @@ import numpy as np
 from .errors import DataError
 
 _PNG_SIGNATURE = b"\x89PNG\r\n\x1a\n"
+# "P5", then width, height and maxval, each after ASCII whitespace and '#' comments
+# and before whitespace or the end. A comment must reach its newline: `#[^\n]*`
+# alone backtracks exponentially on a run of '#' that has none.
+_PGM_HEADER = re.compile(rb"P5" + rb"(?:\s|#[^\n]*(?=\n))*(\d+)(?=\s|\Z)" * 3)
 
 
 def write_file(path: str | Path, data: bytes | str) -> None:
@@ -45,10 +50,12 @@ def read_image(path: str | Path) -> np.ndarray:
     except OSError as exc:
         raise DataError(f"unreadable image file: {path}") from exc
     if raw[:2] == b"P5":
-        return _decode_pgm(raw, path)
-    if raw[: len(_PNG_SIGNATURE)] == _PNG_SIGNATURE:
-        return _decode_png(raw, path)
-    raise DataError(f"unsupported image format (want P5 PGM or grayscale PNG): {path}")
+        samples, maxval = _decode_pgm(raw, path)
+    elif raw[: len(_PNG_SIGNATURE)] == _PNG_SIGNATURE:
+        samples, maxval = _decode_png(raw, path)
+    else:
+        raise DataError(f"unsupported image format (want P5 PGM or grayscale PNG): {path}")
+    return samples.astype(np.float64) / float(maxval)
 
 
 def write_pgm(path: str | Path, image: np.ndarray) -> None:
@@ -70,43 +77,26 @@ def write_ppm(path: str | Path, image: np.ndarray) -> None:
     write_file(path, f"P6\n{w} {h}\n255\n".encode("ascii") + img.tobytes())
 
 
-def _decode_pgm(raw: bytes, path: Path) -> np.ndarray:
-    # Header: "P5" <ws> width <ws> height <ws> maxval <single ws> pixel data.
-    # '#' comments may appear inside the whitespace runs.
-    pos = 2
-    fields: list[int] = []
-    while len(fields) < 3:
-        while pos < len(raw) and raw[pos : pos + 1].isspace():
-            pos += 1
-        if pos < len(raw) and raw[pos : pos + 1] == b"#":
-            while pos < len(raw) and raw[pos] != 0x0A:
-                pos += 1
-            continue
-        start = pos
-        while pos < len(raw) and not raw[pos : pos + 1].isspace():
-            pos += 1
-        token = raw[start:pos]
-        if not token.isdigit():
-            raise DataError(f"malformed PGM header: {path}")
-        fields.append(int(token))
-    pos += 1  # single whitespace byte before the raster
-    width, height, maxval = fields
+def _decode_pgm(raw: bytes, path: Path) -> tuple[np.ndarray, int]:
+    match = _PGM_HEADER.match(raw)
+    if match is None:
+        raise DataError(f"malformed PGM header: {path}")
+    width, height, maxval = map(int, match.groups())
     if width == 0 or height == 0:
         raise DataError(f"PGM image is {width}x{height}, not at least 1x1: {path}")
     if maxval <= 0 or maxval > 65535:
         raise DataError(f"unsupported PGM maxval {maxval}: {path}")
     dtype = np.uint8 if maxval < 256 else ">u2"
-    count = width * height
-    try:
-        pixels = np.frombuffer(raw, dtype=dtype, count=count, offset=pos)
+    try:  # one whitespace byte separates maxval from the raster
+        pixels = np.frombuffer(raw, dtype=dtype, count=width * height, offset=match.end() + 1)
     except ValueError as exc:
         raise DataError(f"truncated PGM raster: {path}") from exc
     if pixels.max() > maxval:
         raise DataError(f"PGM pixel {pixels.max()} above maxval {maxval}: {path}")
-    return pixels.reshape(height, width).astype(np.float64) / float(maxval)
+    return pixels.reshape(height, width), maxval
 
 
-def _decode_png(raw: bytes, path: Path) -> np.ndarray:
+def _decode_png(raw: bytes, path: Path) -> tuple[np.ndarray, int]:
     pos = len(_PNG_SIGNATURE)
     width = height = bitdepth = None
     idat = bytearray()
@@ -150,13 +140,7 @@ def _decode_png(raw: bytes, path: Path) -> np.ndarray:
         line = np.frombuffer(stream, dtype=np.uint8, count=stride, offset=offset + 1)
         out[row] = _unfilter_row(ftype, line, prev, bpp, path)
         prev = out[row]
-    if bitdepth == 8:
-        pixels = out.astype(np.float64) / 255.0
-    else:
-        pixels = out.reshape(height, width, 2).astype(np.float64)
-        pixels = (pixels[..., 0] * 256.0 + pixels[..., 1]) / 65535.0
-        return pixels
-    return pixels.reshape(height, width)
+    return out.view(">u2" if bitdepth == 16 else np.uint8), 2**bitdepth - 1
 
 
 def _unfilter_row(
@@ -167,8 +151,7 @@ def _unfilter_row(
     if ftype == 0:
         pass
     elif ftype == 1:  # Sub
-        for i in range(bpp, out.size):
-            out[i] = (out[i] + out[i - bpp]) & 0xFF
+        out = np.cumsum(out.reshape(-1, bpp), axis=0).ravel() & 0xFF  # per byte lane
     elif ftype == 2:  # Up
         out = (out + up) & 0xFF
     elif ftype == 3:  # Average

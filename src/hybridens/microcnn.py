@@ -512,16 +512,12 @@ def train_two_phase(
     if not train:
         raise DataError("training set is empty")
     history: list[dict] = []
-    set_trainability(net, 0)
-    _run_epochs(
-        net, train, val, config.freeze_epochs, config.head_learning_rate,
-        config.batch_size, rng, "freeze", history,
-    )
-    set_trainability(net, config.unfreeze_top)
-    _run_epochs(
-        net, train, val, config.finetune_epochs, config.learning_rate,
-        config.batch_size, rng, "finetune", history,
-    )
+    for phase, top, epochs, lr in (
+        ("freeze", 0, config.freeze_epochs, config.head_learning_rate),
+        ("finetune", config.unfreeze_top, config.finetune_epochs, config.learning_rate),
+    ):
+        set_trainability(net, top)
+        _run_epochs(net, train, val, epochs, lr, config.batch_size, rng, phase, history)
     return net, history
 
 

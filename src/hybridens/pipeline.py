@@ -188,11 +188,6 @@ def _json_value(x: float) -> float | None:
     return None if (isinstance(x, float) and math.isnan(x)) else float(x)
 
 
-def roc_curves(labels: np.ndarray, model_scores: dict) -> dict[str, metrics.RocCurve]:
-    """One ROC curve per model, shared by `score_rows` and `write_rocs`."""
-    return {name: metrics.roc_curve(labels, s) for name, s in model_scores.items()}
-
-
 def _subject_means(
     model_scores: dict[str, np.ndarray], labels: np.ndarray, subject_ids: list[str]
 ) -> tuple[dict[str, np.ndarray], np.ndarray]:
@@ -205,15 +200,16 @@ def _subject_means(
 
 
 def score_rows(
-    model_scores: dict, labels: np.ndarray, tau: float, curves: dict[str, metrics.RocCurve]
-) -> list[dict]:
-    """ACC/SEN/SPE/AUC rows; each AUC comes from `curves`, the `roc_curves` of these scores."""
-    rows = []
+    model_scores: dict, labels: np.ndarray, tau: float
+) -> tuple[list[dict], dict[str, metrics.RocCurve]]:
+    """ACC/SEN/SPE/AUC rows, and the ROC curve per model that each AUC comes from."""
+    rows, curves = [], {}
     for name, scores in model_scores.items():
+        curves[name] = metrics.roc_curve(labels, scores)
         acc, sen, spe = metrics.acc_sen_spe(labels, np.asarray(scores, dtype=np.float64) > tau)
         rows.append({"model": name, "acc": _json_value(acc), "sen": _json_value(sen),
                      "spe": _json_value(spe), "auc": _json_value(metrics.auc(curves[name]))})
-    return rows
+    return rows, curves
 
 
 def render_table(rows: list[dict]) -> str:
@@ -435,14 +431,13 @@ def run_pipeline(
         scores, labels = model_scores, test_labels
         if config.eval_level == "subject_mean":
             scores, labels = _subject_means(scores, labels, [s.subject_id for s in test])
-        curves = roc_curves(labels, scores)
-        rows = score_rows(scores, labels, config.threshold, curves)
+        rows, curves = score_rows(scores, labels, config.threshold)
         if roc_from_folds:
             scores, labels = _model_scores(oof.matrix, arch_ids, fit.alpha, meta, rule), oof.labels
             if config.eval_level == "subject_mean":
                 ids = [samples[i].subject_id for i in oof.train_ids]
                 scores, labels = _subject_means(scores, labels, ids)
-            curves = roc_curves(labels, scores)
+            curves = score_rows(scores, labels, config.threshold)[1]
         roc_files = write_rocs(out, curves)
 
     with error_context("stage explain"):
@@ -512,8 +507,7 @@ def fuse_only(
     eval_matrix, eval_labels = matrix[eval_rows], labels[eval_rows]
     names = [f"p{k + 1}" for k in range(matrix.shape[1])]
     model_scores = _model_scores(eval_matrix, names, fit.alpha, meta, config.fusion_combine_rule)
-    curves = roc_curves(eval_labels, model_scores)
-    rows = score_rows(model_scores, eval_labels, config.threshold, curves)
+    rows, curves = score_rows(model_scores, eval_labels, config.threshold)
     report = RunReport(
         seed=config.seed,
         task=config.task_name,

@@ -1,5 +1,6 @@
 import os
 import struct
+import time
 import zlib
 
 import numpy as np
@@ -36,6 +37,75 @@ def test_pgm_header_comments(tmp_path):
     img = read_image(path)
     assert img.shape == (2, 2)
     assert img[1, 1] == 1.0
+
+
+@pytest.mark.parametrize("maxval", [1000, 65535])
+def test_pgm_16_bit_round_trip(tmp_path, maxval):
+    # A maxval above 255 makes each sample two big-endian bytes.
+    samples = np.array([[0, 1, 255], [256, maxval - 1, maxval]])
+    path = tmp_path / "x.pgm"
+    path.write_bytes(f"P5\n3 2\n{maxval}\n".encode() + samples.astype(">u2").tobytes())
+    assert np.array_equal(read_image(path), samples / maxval)
+
+
+@pytest.mark.parametrize("header", [
+    b"P5# by hand\n2 1 255\n",  # a comment right after the magic number
+    b"P5 #w\n2 #h\n1\n#maxval\n255\n",  # a comment before every field
+    b"P52 1 255\n",  # no whitespace after the magic number
+])
+def test_pgm_header_grammar_accepts(tmp_path, header):
+    path = tmp_path / "x.pgm"
+    path.write_bytes(header + bytes([0, 255]))
+    assert np.array_equal(read_image(path), [[0.0, 1.0]])
+
+
+@pytest.mark.parametrize("raw, message", [
+    (b"P5 2# w\n1 255\n\x00\xff", "malformed PGM header"),  # '#' right after a field
+    (b"P5 2 1 # no newline", "malformed PGM header"),  # an unterminated comment
+    (b"P5 2 1 255", "truncated PGM raster"),  # the file ends right after maxval
+])
+def test_pgm_header_grammar_rejects(tmp_path, raw, message):
+    path = tmp_path / "x.pgm"
+    path.write_bytes(raw)
+    with pytest.raises(DataError, match=message):
+        read_image(path)
+
+
+def test_pgm_header_of_hashes_is_rejected_quickly(tmp_path):
+    # A run of '#' with no newline must not make the header grammar backtrack
+    # exponentially.
+    path = tmp_path / "x.pgm"
+    path.write_bytes(b"P5 " + b"#" * 65536)
+    start = time.perf_counter()
+    with pytest.raises(DataError, match="malformed PGM header"):
+        read_image(path)
+    assert time.perf_counter() - start < 1.0
+
+
+WHITESPACE = b" \t\n\r\x0b\x0c"
+GAPS = st.lists(st.sampled_from([bytes([c]) for c in WHITESPACE] + [b"#\n", b"# a #\n"]))
+SPACED_GAP = st.tuples(st.sampled_from(WHITESPACE), GAPS)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 5), st.integers(1, 5), st.integers(1, 65535), GAPS, SPACED_GAP, SPACED_GAP,
+    st.sampled_from(WHITESPACE), st.integers(0, 2**32 - 1),
+)
+def test_pgm_header_encodings_read_back(
+    tmp_path_factory, w, h, maxval, gap0, gap1, gap2, end, seed
+):
+    """Any header the grammar allows reads back the image it encodes: gaps
+    of whitespace and comments before each field (one whitespace byte first
+    after width and height), and one whitespace byte before the raster."""
+    samples = np.random.default_rng(seed).integers(0, maxval + 1, size=(h, w))
+    header = b"P5" + b"".join(gap0) + str(w).encode()
+    for (space, gap), field in ((gap1, h), (gap2, maxval)):
+        header += bytes([space]) + b"".join(gap) + str(field).encode()
+    raster = samples.astype(np.uint8 if maxval < 256 else ">u2").tobytes()
+    path = tmp_path_factory.mktemp("pgm") / "x.pgm"
+    path.write_bytes(header + bytes([end]) + raster)
+    assert np.array_equal(read_image(path), samples / maxval)
 
 
 def test_pgm_truncated_raster_rejected(tmp_path):

@@ -693,6 +693,23 @@ def test_cli_synth_run_evaluate_and_explain(tmp_path):
     ]) == 0
     assert list((tmp_path / "xai").glob("*_overlay.ppm"))
 
+    # Each explanation the run wrote is the one `explain` writes from that
+    # sample's data image, class and the run's explained model.
+    model = report["files"]["explained_model"]
+    notes = sorted((out / "explanations").glob("*.json"))
+    assert notes
+    for note in notes:
+        doc = json.loads(note.read_text())
+        assert doc["model"] == model
+        image, xai = data / f"{doc['sample']}.pgm", tmp_path / "xai-run" / note.stem
+        assert cli.main([
+            "explain", "--checkpoint", str(out / "checkpoints" / f"{model}.ckpt"),
+            "--image", str(image), "--out", str(xai), "--class-id", str(doc["class_id"]),
+        ]) == 0
+        for suffix in ("_cam.pgm", "_overlay.ppm"):
+            run_file = out / "explanations" / f"{note.stem}{suffix}"
+            assert (xai / f"{image.stem}{suffix}").read_bytes() == run_file.read_bytes(), suffix
+
 
 def test_cli_synth_data_refuses_an_out_that_holds_a_dataset(tmp_path, capsys):
     out = tmp_path / "data"
@@ -1166,8 +1183,7 @@ def test_score_arrays_fuse_and_score_or_raise_a_taxonomy_error(table, ridge):
     if meta is not None:
         assert np.all(np.isfinite(meta.w)) and math.isfinite(meta.b), meta
     scores = {f"p{k + 1}": matrix[:, k] for k in range(matrix.shape[1])}
-    rows = _unless_taxonomy_error(
-        lambda: score_rows(scores, labels, 0.5, pipeline.roc_curves(labels, scores)))
+    rows = _unless_taxonomy_error(lambda: score_rows(scores, labels, 0.5)[0])
     for row in rows or []:
         for key in ("acc", "sen", "spe", "auc"):
             assert row[key] is None or 0.0 <= row[key] <= 1.0, row
